@@ -1,53 +1,10 @@
 """Exact equilibrium engine for discrete-bid Richman games on pebble heaps."""
 
-from .analysis import (
-    BidGraph,
-    BidGraphKind,
-    ForcedWinThreshold,
-    InvariantReport,
-    bid_graph,
-    forced_win_threshold,
-    left_can_force_final_wins,
-    run_invariant_suite,
-    verify_forced_wins,
-)
-from .automaton import (
-    AutomatonSeed,
-    AutomatonTable,
-    ConvergenceReport,
-    alpha_even,
-    alpha_odd,
-    automaton_fixed_point,
-    beta,
-    conjecture_report,
-    convergence_bound,
-    outcome_bounds,
-)
-from .core import (
-    BidPair,
-    BidWinner,
-    OutcomeRow,
-    OutcomeTable,
-    RichmanPosition,
-    Side,
-    classify_bid,
-    make_position,
-)
-from .general import (
-    GeneralRuleset,
-    UReport,
-    check_property_U,
-    general_maximin,
-    general_minimax,
-    make_unitary_ruleset,
-    parse_ruleset,
-    reduced_symmetric_value,
-)
-from .oracle import BidMatrix, PlayTrace, bid_matrix, oracle_value, replay
+# Everything beyond the documented entry points below lives in its submodule;
+# ``import bcs`` still loads them all.
+from . import analysis, automaton, general, oracle
+from .core import BidPair, Side, make_position
 from .solver import (
-    EquilibriumCell,
-    LimitRows,
-    UnitaryTable,
     equilibrium_bids,
     limit_rows,
     solve,
@@ -58,52 +15,12 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AutomatonSeed",
-    "AutomatonTable",
-    "BidGraph",
-    "BidGraphKind",
-    "BidMatrix",
     "BidPair",
-    "BidWinner",
-    "ConvergenceReport",
-    "EquilibriumCell",
-    "ForcedWinThreshold",
-    "GeneralRuleset",
-    "InvariantReport",
-    "LimitRows",
-    "OutcomeRow",
-    "OutcomeTable",
-    "PlayTrace",
-    "RichmanPosition",
     "Side",
-    "UReport",
-    "UnitaryTable",
-    "alpha_even",
-    "alpha_odd",
-    "automaton_fixed_point",
-    "beta",
-    "bid_graph",
-    "bid_matrix",
-    "check_property_U",
-    "classify_bid",
-    "conjecture_report",
-    "convergence_bound",
     "equilibrium_bids",
-    "forced_win_threshold",
-    "general_maximin",
-    "general_minimax",
-    "left_can_force_final_wins",
     "limit_rows",
     "make_position",
-    "make_unitary_ruleset",
-    "oracle_value",
-    "outcome_bounds",
-    "parse_ruleset",
-    "reduced_symmetric_value",
-    "replay",
-    "run_invariant_suite",
     "solve",
     "tie_conditioned_value",
     "value",
-    "verify_forced_wins",
 ]

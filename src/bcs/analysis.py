@@ -12,12 +12,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Callable
 
-from .core import OutcomeTable, Side
-from .solver import UnitaryTable, solve
-
-Table = Union[UnitaryTable, OutcomeTable]
+from .core import OutcomeTable, RichmanPosition, Side
+from .oracle import oracle_value
+from .solver import solve, value
 
 
 @dataclass(frozen=True)
@@ -49,17 +48,17 @@ class InvariantReport:
         return f"{status} {self.name} tb={self.tb} x<={self.x_max}{tail}"
 
 
-Check = Callable[[Table], Counterexample | None]
+Check = Callable[[OutcomeTable], Counterexample | None]
 
 
-def _cells(table: Table):
+def _cells(table: OutcomeTable):
     for x in range(table.x_max + 1):
         row = table.row(x)
         for p in range(table.tb + 1):
             yield x, p, row
 
 
-def _budget_monotonicity(table: Table) -> Counterexample | None:
+def _budget_monotonicity(table: OutcomeTable) -> Counterexample | None:
     """More money with the marker is never worse."""
     for x, p, row in _cells(table):
         if p >= 1 and row[p] < row[p - 1]:
@@ -67,7 +66,7 @@ def _budget_monotonicity(table: Table) -> Counterexample | None:
     return None
 
 
-def _tie_monotonicity(table: Table) -> Counterexample | None:
+def _tie_monotonicity(table: OutcomeTable) -> Counterexample | None:
     """A smaller tie is always weakly better for the marker holder."""
     tb = table.tb
     for x in range(1, table.x_max + 1):
@@ -82,7 +81,7 @@ def _tie_monotonicity(table: Table) -> Counterexample | None:
     return None
 
 
-def _marker_monotonicity(table: Table) -> Counterexample | None:
+def _marker_monotonicity(table: OutcomeTable) -> Counterexample | None:
     """The marker never hurts, and is worth at most two points."""
     tb = table.tb
     for x, p, row in _cells(table):
@@ -93,7 +92,7 @@ def _marker_monotonicity(table: Table) -> Counterexample | None:
     return None
 
 
-def _marker_dominance(table: Table) -> Counterexample | None:
+def _marker_dominance(table: OutcomeTable) -> Counterexample | None:
     """Holding the marker beats the flip of any reachable opposing split."""
     tb = table.tb
     for x, p, row in _cells(table):
@@ -104,7 +103,7 @@ def _marker_dominance(table: Table) -> Counterexample | None:
     return None
 
 
-def _marker_worth(table: Table) -> Counterexample | None:
+def _marker_worth(table: OutcomeTable) -> Counterexample | None:
     """The marker is worth at most one dollar."""
     tb = table.tb
     for x, p, row in _cells(table):
@@ -113,7 +112,7 @@ def _marker_worth(table: Table) -> Counterexample | None:
     return None
 
 
-def _sign_border(table: Table) -> Counterexample | None:
+def _sign_border(table: OutcomeTable) -> Counterexample | None:
     """Outcomes are non-negative iff Left holds at least half the budget,
     strictly on odd heaps."""
     tb = table.tb
@@ -128,7 +127,7 @@ def _sign_border(table: Table) -> Counterexample | None:
     return None
 
 
-def _bounded_outcome(table: Table) -> Counterexample | None:
+def _bounded_outcome(table: OutcomeTable) -> Counterexample | None:
     """Outcomes stay within [-ceil(tb/2), ceil(tb/2) + 1].
 
     Both ends are attained.  The lower end really is the ceiling for odd
@@ -142,7 +141,7 @@ def _bounded_outcome(table: Table) -> Counterexample | None:
     return None
 
 
-def _budget_lipschitz(table: Table) -> Counterexample | None:
+def _budget_lipschitz(table: OutcomeTable) -> Counterexample | None:
     """One extra dollar gains at most two points."""
     for x, p, row in _cells(table):
         if p + 1 <= table.tb and row[p + 1] > row[p] + 2:
@@ -150,7 +149,7 @@ def _budget_lipschitz(table: Table) -> Counterexample | None:
     return None
 
 
-def _heap_monotonicity(table: Table) -> Counterexample | None:
+def _heap_monotonicity(table: OutcomeTable) -> Counterexample | None:
     """Per parity, rich columns never decrease and poor columns never grow."""
     tb = table.tb
     for x in range(2, table.x_max + 1):
@@ -165,7 +164,7 @@ def _heap_monotonicity(table: Table) -> Counterexample | None:
     return None
 
 
-def _parity(table: Table) -> Counterexample | None:
+def _parity(table: OutcomeTable) -> Counterexample | None:
     """Scores share the parity of the heap."""
     for x, p, row in _cells(table):
         if (row[p] - x) % 2 != 0:
@@ -189,7 +188,7 @@ _INVARIANTS: tuple[tuple[str, Check], ...] = (
 INVARIANT_NAMES = tuple(name for name, _ in _INVARIANTS)
 
 
-def run_invariant_suite_on(table: Table) -> list[InvariantReport]:
+def run_invariant_suite_on(table: OutcomeTable) -> list[InvariantReport]:
     """Run all ten invariant scans over an already solved table."""
     reports = []
     for name, check in _INVARIANTS:
@@ -364,7 +363,6 @@ def bid_graph_to_dot(graph: BidGraph) -> str:
 
 def bid_graph_to_json_dict(graph: BidGraph) -> dict:
     return {
-        "schema_version": 1,
         "tb": graph.tb,
         "kind": graph.kind.value,
         "bid": graph.bid,
@@ -388,10 +386,6 @@ def check_oracle_equivalence(tb: int, x_max: int) -> InvariantReport:
     Every cell is checked for both marker holders, so the zero-sum flip the
     solver relies on is exercised against independently computed values.
     """
-    from .core import RichmanPosition
-    from .oracle import oracle_value
-    from .solver import value
-
     table = solve(tb, x_max)
     for x in range(x_max + 1):
         for p in range(tb + 1):

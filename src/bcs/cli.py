@@ -1,7 +1,8 @@
 """Command-line surface: solve, limits, check, automaton, conjecture, bids, play.
 
 Exit codes: 0 on success, 1 when an invariant or ruleset check fails,
-2 on usage errors, 3 when convergence is not reached by its bound.
+2 on usage errors (bad arguments or a malformed input file), 3 when
+convergence is not reached by its bound.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from typing import Sequence
 
 from . import analysis, automaton, general, solver
 from .core import (
+    BudgetOutOfRange,
     GameError,
-    OutcomeRow,
+    HeapNegative,
     OutcomeTable,
     Side,
     classify_bid,
@@ -35,12 +37,15 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _render_value_table(tb: int, rows: list[tuple[int, ...]], first_label: str) -> str:
-    header = [first_label] + [str(p) for p in range(tb, -1, -1)]
-    body = [
-        [str(x)] + [str(row[p]) for p in range(tb, -1, -1)]
-        for x, row in enumerate(rows)
-    ]
+def _emit_json(payload: dict, out_path: str | None) -> None:
+    """Write ``payload`` as indented JSON inside the schema-version envelope."""
+    _emit(json.dumps({"schema_version": 1, **payload}, indent=2) + "\n", out_path)
+
+
+def _render_value_table(table: OutcomeTable) -> str:
+    budgets = range(table.tb, -1, -1)
+    header = ["x \\ p^"] + [str(p) for p in budgets]
+    body = [[str(x)] + [str(row[p]) for p in budgets] for x, row in enumerate(table.rows)]
     return _render_columns([header] + body)
 
 
@@ -61,42 +66,59 @@ def _render_parity_rows(tb: int, even: Sequence[int], odd: Sequence[int]) -> str
     return _render_columns(lines)
 
 
-def _table_json(table: solver.UnitaryTable) -> dict:
+def _table_json(table: OutcomeTable) -> dict:
     return {
-        "schema_version": 1,
         "tb": table.tb,
         "x_max": table.x_max,
-        "rows": [
-            {"x": x, "values": list(table.row(x))} for x in range(table.x_max + 1)
-        ],
+        "rows": [{"x": x, "values": list(row)} for x, row in enumerate(table.rows)],
     }
 
 
 def load_outcome_table_json(data: dict) -> OutcomeTable:
-    """Rebuild an outcome table from the ``solve`` JSON schema."""
+    """Rebuild an outcome table from the ``solve`` JSON schema.
+
+    Raises ``ValueError`` on anything ``solve --format json`` would not
+    write: a missing key, a row count that disagrees with ``x_max``, a heap
+    label out of place, a row not ``tb + 1`` long, or a non-integer value.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("a table must be a JSON object")
     if data.get("schema_version") != 1:
         raise ValueError(f"unsupported schema_version {data.get('schema_version')!r}")
-    rows = tuple(
-        OutcomeRow(heap=entry["x"], marker_left_values=tuple(entry["values"]))
-        for entry in data["rows"]
-    )
-    return OutcomeTable(tb=data["tb"], rows=rows)
+    for key in ("tb", "x_max", "rows"):
+        if key not in data:
+            raise ValueError(f"table has no {key!r} key")
+    tb, x_max, entries = data["tb"], data["x_max"], data["rows"]
+    # ``bool`` is an ``int`` subclass, but JSON ``true`` is not a number.
+    if type(tb) is not int or tb < 0:
+        raise ValueError(f"tb must be an integer >= 0, got {tb!r}")
+    if not isinstance(entries, list) or not entries:
+        raise ValueError("rows must be a non-empty list")
+    if type(x_max) is not int or x_max != len(entries) - 1:
+        raise ValueError(f"x_max {x_max!r} disagrees with {len(entries)} rows")
+    rows = []
+    for x, entry in enumerate(entries):
+        label = entry.get("x") if isinstance(entry, dict) else None
+        if type(label) is not int or label != x:
+            raise ValueError(f"row {x} carries heap label {label!r}")
+        values = entry.get("values")
+        if not isinstance(values, list) or set(map(type, values)) - {int}:
+            raise ValueError(f"row {x} values must be a list of integers")
+        rows.append(tuple(values))
+    return OutcomeTable(tb=tb, rows=tuple(rows))
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     table = solver.solve(args.tb, args.x_max)
     if args.format == "csv":
         lines = ["x,p,marker,value"]
-        for x in range(table.x_max + 1):
-            row = table.row(x)
-            for p in range(table.tb + 1):
-                lines.append(f"{x},{p},L,{row[p]}")
+        for x, row in enumerate(table.rows):
+            lines.extend(f"{x},{p},L,{v}" for p, v in enumerate(row))
         _emit("\n".join(lines) + "\n", args.out)
     elif args.format == "json":
-        _emit(json.dumps(_table_json(table), indent=2) + "\n", args.out)
+        _emit_json(_table_json(table), args.out)
     else:
-        rows = [table.row(x) for x in range(table.x_max + 1)]
-        _emit(_render_value_table(table.tb, rows, "x \\ p^"), args.out)
+        _emit(_render_value_table(table), args.out)
     return EXIT_OK
 
 
@@ -109,14 +131,13 @@ def cmd_limits(args: argparse.Namespace) -> int:
         return EXIT_NO_CONVERGENCE
     if args.format == "json":
         payload = {
-            "schema_version": 1,
             "tb": args.tb,
             "bound": bound,
             "x_star": limits.x_star,
             "even": list(limits.even_row),
             "odd": list(limits.odd_row),
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit_json(payload, args.out)
     else:
         text = f"tb = {args.tb}  B(tb) = {bound}  x_star = {limits.x_star}\n"
         text += _render_parity_rows(args.tb, limits.even_row, limits.odd_row)
@@ -144,7 +165,6 @@ def _check_ruleset(args: argparse.Namespace) -> int:
     report = general.check_property_U(ruleset)
     if args.format == "json":
         payload = {
-            "schema_version": 1,
             "holds": report.holds,
             "violations": [
                 {
@@ -158,7 +178,7 @@ def _check_ruleset(args: argparse.Namespace) -> int:
                 for v in report.violations
             ],
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit_json(payload, args.out)
     else:
         lines = []
         if report.holds:
@@ -179,7 +199,11 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     if args.from_json is not None:
         with open(args.from_json, encoding="utf-8") as fh:
-            table: analysis.Table = load_outcome_table_json(json.load(fh))
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{args.from_json} is not JSON: {exc}") from None
+        table = load_outcome_table_json(data)
         reports = analysis.run_invariant_suite_on(table)
     else:
         if args.tb is None:
@@ -194,11 +218,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     if args.format == "json":
         payload = {
-            "schema_version": 1,
             "reports": [_report_payload(r) for r in reports],
             "passed": all(r.passed for r in reports),
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit_json(payload, args.out)
     else:
         _emit("\n".join(str(r) for r in reports) + "\n", args.out)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
@@ -217,7 +240,6 @@ def cmd_automaton(args: argparse.Namespace) -> int:
             )
     if args.format == "json":
         payload = {
-            "schema_version": 1,
             "tb": tb,
             "bound": bound,
             "tables": {
@@ -225,7 +247,7 @@ def cmd_automaton(args: argparse.Namespace) -> int:
                 for name, t in tables.items()
             },
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit_json(payload, args.out)
     else:
         text = f"tb = {tb}  B(tb) = {bound}\n"
         for name, t in tables.items():
@@ -244,7 +266,6 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
         return EXIT_NO_CONVERGENCE
     if args.format == "json":
         payload = {
-            "schema_version": 1,
             "tb": report.tb,
             "bound": report.bound,
             "x_star": report.x_star,
@@ -256,7 +277,7 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
                 name: [list(d) for d in cells] for name, cells in report.diffs.items()
             },
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit_json(payload, args.out)
     else:
         lines = [
             f"tb = {report.tb}  B(tb) = {report.bound}  x_star = {report.x_star}",
@@ -281,16 +302,13 @@ _KINDS = {
 def cmd_bids(args: argparse.Namespace) -> int:
     graph = analysis.bid_graph(args.tb, _KINDS[args.kind], args.bid, args.reduced)
     if args.format == "json":
-        _emit(
-            json.dumps(analysis.bid_graph_to_json_dict(graph), indent=2) + "\n",
-            args.out,
-        )
+        _emit_json(analysis.bid_graph_to_json_dict(graph), args.out)
     else:
         _emit(analysis.bid_graph_to_dot(graph), args.out)
     return EXIT_OK
 
 
-def _engine_bid(table: solver.UnitaryTable, pos, engine_side: Side) -> int:
+def _engine_bid(table: OutcomeTable, pos, engine_side: Side) -> int:
     canonical = min(solver.equilibrium_bids(table, pos))
     return canonical.left_bid if engine_side is Side.LEFT else canonical.right_bid
 
@@ -347,6 +365,12 @@ def cmd_play(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _output_args(parser: argparse.ArgumentParser, *formats: str) -> None:
+    """Add ``--format`` (the first of ``formats`` is the default) and ``--out``."""
+    parser.add_argument("--format", choices=formats, default=formats[0])
+    parser.add_argument("--out", default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bcs",
@@ -361,14 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve a value table")
     p_solve.add_argument("--tb", type=int, required=True)
     p_solve.add_argument("--x-max", type=int, required=True)
-    p_solve.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    p_solve.add_argument("--out", default=None)
+    _output_args(p_solve, "table", "csv", "json")
     p_solve.set_defaults(func=cmd_solve)
 
     p_limits = sub.add_parser("limits", help="stabilized per-parity rows")
     p_limits.add_argument("--tb", type=int, required=True)
-    p_limits.add_argument("--format", choices=("table", "json"), default="table")
-    p_limits.add_argument("--out", default=None)
+    _output_args(p_limits, "table", "json")
     p_limits.set_defaults(func=cmd_limits)
 
     p_check = sub.add_parser("check", help="run invariant or ruleset checks")
@@ -377,20 +399,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--with-oracle", action="store_true")
     p_check.add_argument("--ruleset", default=None, help="check a ruleset file")
     p_check.add_argument("--from-json", default=None, help="check a solved table")
-    p_check.add_argument("--format", choices=("text", "json"), default="text")
-    p_check.add_argument("--out", default=None)
+    _output_args(p_check, "text", "json")
     p_check.set_defaults(func=cmd_check)
 
     p_auto = sub.add_parser("automaton", help="zero-bid automaton tables")
     p_auto.add_argument("--tb", type=int, required=True)
-    p_auto.add_argument("--format", choices=("table", "json"), default="table")
-    p_auto.add_argument("--out", default=None)
+    _output_args(p_auto, "table", "json")
     p_auto.set_defaults(func=cmd_automaton)
 
     p_conj = sub.add_parser("conjecture", help="limit rows vs automaton entries")
     p_conj.add_argument("--tb", type=int, required=True)
-    p_conj.add_argument("--format", choices=("text", "json"), default="text")
-    p_conj.add_argument("--out", default=None)
+    _output_args(p_conj, "text", "json")
     p_conj.set_defaults(func=cmd_conjecture)
 
     p_bids = sub.add_parser("bids", help="export a bid graph")
@@ -398,8 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bids.add_argument("--kind", choices=sorted(_KINDS), required=True)
     p_bids.add_argument("--bid", type=int, required=True)
     p_bids.add_argument("--reduced", action="store_true")
-    p_bids.add_argument("--format", choices=("dot", "json"), default="dot")
-    p_bids.add_argument("--out", default=None)
+    _output_args(p_bids, "dot", "json")
     p_bids.set_defaults(func=cmd_bids)
 
     p_play = sub.add_parser("play", help="play against the engine")
@@ -418,12 +436,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (ValueError, BudgetOutOfRange, HeapNegative, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except GameError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -187,41 +187,23 @@ def classify_bid(
 
 
 @dataclass(frozen=True)
-class OutcomeRow:
-    """Equilibrium values of one heap size across all budget splits.
+class OutcomeTable:
+    """Equilibrium values for heap sizes ``0..x_max`` across all budget splits.
 
-    ``marker_left_values[p]`` is the value when Left holds ``p`` dollars and
+    ``row(x)[p]`` is the score of heap ``x`` when Left holds ``p`` dollars and
     the marker.  Values for a marker-holding Right follow from the zero-sum
-    flip and are derived, never stored.
+    flip ``-row(x)[tb - p]`` and are derived, never stored.
     """
 
-    heap: int
-    marker_left_values: tuple[int, ...]
-
-    @property
-    def tb(self) -> int:
-        return len(self.marker_left_values) - 1
-
-    @property
-    def marker_right_values(self) -> tuple[int, ...]:
-        """Values when Left holds p dollars but Right holds the marker."""
-        tb = self.tb
-        return tuple(-self.marker_left_values[tb - p] for p in range(tb + 1))
-
-
-@dataclass(frozen=True)
-class OutcomeTable:
-    """A stack of outcome rows for heap sizes ``0..x_max``."""
-
     tb: int
-    rows: tuple[OutcomeRow, ...]
+    rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         for x, row in enumerate(self.rows):
-            if row.heap != x:
-                raise ValueError(f"row {x} carries heap label {row.heap}")
-            if row.tb != self.tb:
-                raise ValueError(f"row {x} sized for tb={row.tb}, expected {self.tb}")
+            if len(row) != self.tb + 1:
+                raise ValueError(
+                    f"row {x} has {len(row)} values, expected tb+1 = {self.tb + 1}"
+                )
 
     @property
     def x_max(self) -> int:
@@ -230,4 +212,4 @@ class OutcomeTable:
     def row(self, x: int) -> tuple[int, ...]:
         if not 0 <= x <= self.x_max:
             raise OutOfRange(f"heap {x} outside solved range 0..{self.x_max}")
-        return self.rows[x].marker_left_values
+        return self.rows[x]

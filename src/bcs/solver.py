@@ -10,13 +10,13 @@ cross-check.
 
 Only marker-Left values are stored.  The value of a position where Right
 holds the marker is the zero-sum flip ``-row[q]``.  Row ``x`` depends only
-on row ``x - 1``, so open-ended sweeps stream with a two-row working set.
+on row ``x - 1``; :func:`solve` is the one loop that stacks them, and
+:func:`limit_rows` reads the stabilized rows off a solved table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .automaton import convergence_bound
 from .core import (
@@ -24,65 +24,14 @@ from .core import (
     BidWinner,
     GameError,
     InfeasibleBid,
-    OutcomeRow,
     OutcomeTable,
     OutOfRange,
     RichmanPosition,
-    Side,
 )
 
 
 class ConvergenceBoundExceeded(GameError):
     """Raised when same-parity rows still differ at the convergence bound."""
-
-
-@dataclass(frozen=True)
-class EquilibriumCell:
-    """Value of one cell plus every bid pair that realizes it."""
-
-    value: int
-    equilibrium_bids: frozenset[BidPair]
-    canonical_bid: BidPair
-
-
-class UnitaryTable:
-    """Solved marker-Left values for heap sizes ``0..x_max``, all budgets.
-
-    ``row(x)[p]`` is the equilibrium score of heap ``x`` when Left holds
-    ``p`` dollars and the marker.
-    """
-
-    def __init__(self, tb: int, rows: list[tuple[int, ...]]):
-        self.tb = tb
-        self._rows = rows
-
-    @property
-    def x_max(self) -> int:
-        return len(self._rows) - 1
-
-    def row(self, x: int) -> tuple[int, ...]:
-        if not 0 <= x <= self.x_max:
-            raise OutOfRange(f"heap {x} outside solved range 0..{self.x_max}")
-        return self._rows[x]
-
-    def cell(self, x: int, p: int) -> EquilibriumCell:
-        """Full equilibrium cell (value plus realizing bid pairs)."""
-        pos = RichmanPosition(tb=self.tb, heap=x, left_budget=p, marker=Side.LEFT)
-        bids = equilibrium_bids(self, pos)
-        return EquilibriumCell(
-            value=self.row(x)[p],
-            equilibrium_bids=bids,
-            canonical_bid=min(bids),
-        )
-
-    def to_outcome_table(self) -> OutcomeTable:
-        return OutcomeTable(
-            tb=self.tb,
-            rows=tuple(
-                OutcomeRow(heap=x, marker_left_values=row)
-                for x, row in enumerate(self._rows)
-            ),
-        )
 
 
 def _next_row(tb: int, prev: tuple[int, ...]) -> tuple[int, ...]:
@@ -106,29 +55,19 @@ def _next_row(tb: int, prev: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(row)
 
 
-def iter_rows(tb: int) -> Iterator[tuple[int, ...]]:
-    """Stream rows for heap sizes 0, 1, 2, ... keeping O(tb) state."""
+def solve(tb: int, x_max: int) -> OutcomeTable:
+    """Solve every heap size up to ``x_max`` for total budget ``tb``."""
     if tb < 0:
         raise ValueError(f"total budget must be >= 0, got {tb}")
-    row = tuple([0] * (tb + 1))
-    while True:
-        yield row
-        row = _next_row(tb, row)
-
-
-def solve(tb: int, x_max: int) -> UnitaryTable:
-    """Solve every heap size up to ``x_max`` for total budget ``tb``."""
     if x_max < 0:
         raise ValueError(f"x_max must be >= 0, got {x_max}")
-    rows = []
-    for x, row in enumerate(iter_rows(tb)):
-        if x > x_max:
-            break
-        rows.append(row)
-    return UnitaryTable(tb, rows)
+    rows = [tuple([0] * (tb + 1))]
+    for _ in range(x_max):
+        rows.append(_next_row(tb, rows[-1]))
+    return OutcomeTable(tb, tuple(rows))
 
 
-def value(table: UnitaryTable, pos: RichmanPosition) -> int:
+def value(table: OutcomeTable, pos: RichmanPosition) -> int:
     """Equilibrium score of ``pos``, flipping the stored row when Right
     holds the marker."""
     if pos.tb != table.tb:
@@ -139,7 +78,7 @@ def value(table: UnitaryTable, pos: RichmanPosition) -> int:
     return -row[pos.right_budget]
 
 
-def tie_conditioned_value(table: UnitaryTable, pos: RichmanPosition, l: int) -> int:
+def tie_conditioned_value(table: OutcomeTable, pos: RichmanPosition, l: int) -> int:
     """Score if both players bid ``l`` at ``pos`` and play on optimally.
 
     Left must hold the marker; the tie requires both sides to afford ``l``.
@@ -192,7 +131,7 @@ def _mirror(bid: BidPair) -> BidPair:
     return BidPair(bid.right_bid, bid.left_bid, flip[bid.winner])
 
 
-def equilibrium_bids(table: UnitaryTable, pos: RichmanPosition) -> frozenset[BidPair]:
+def equilibrium_bids(table: OutcomeTable, pos: RichmanPosition) -> frozenset[BidPair]:
     """All bid pairs consistent with equilibrium play at ``pos``.
 
     Marker-Right cells are handled by mirroring the sides, which is exact
@@ -226,11 +165,7 @@ def limit_rows(tb: int) -> LimitRows:
     """
     bound = convergence_bound(tb)
     x_max = bound + 2
-    rows = []
-    for x, row in enumerate(iter_rows(tb)):
-        if x > x_max:
-            break
-        rows.append(row)
+    rows = solve(tb, x_max).rows
 
     if rows[bound] != rows[bound + 2]:
         raise ConvergenceBoundExceeded(

@@ -14,7 +14,7 @@ from bcs.analysis import (
     run_invariant_suite_on,
     verify_forced_wins,
 )
-from bcs.core import Side
+from bcs.core import OutcomeTable, Side
 from bcs.solver import solve
 
 
@@ -30,22 +30,17 @@ def test_suite_passes_desk_scale():
 
 
 def test_suite_accepts_prebuilt_tables():
-    table = solve(4, 12).to_outcome_table()
+    table = OutcomeTable(tb=4, rows=tuple(solve(4, 12).row(x) for x in range(13)))
     assert all(r.passed for r in run_invariant_suite_on(table))
 
 
 def test_suite_reports_counterexample():
     # corrupt one cell and expect scans to pin it
-    from bcs.core import OutcomeRow, OutcomeTable
-
     rows = [solve(3, 4).row(x) for x in range(5)]
     bad = list(rows[3])
     bad[3] = 9
     rows[3] = tuple(bad)
-    table = OutcomeTable(
-        tb=3,
-        rows=tuple(OutcomeRow(heap=x, marker_left_values=r) for x, r in enumerate(rows)),
-    )
+    table = OutcomeTable(tb=3, rows=tuple(rows))
     failed = [r for r in run_invariant_suite_on(table) if not r.passed]
     assert failed
     report = next(r for r in failed if r.name == "bounded_outcome")
@@ -156,7 +151,7 @@ def test_dot_export_shape():
 
 def test_json_export_shape():
     payload = bid_graph_to_json_dict(bid_graph(5, BidGraphKind.HOLDER_WIN, 3, True))
-    assert payload["schema_version"] == 1
+    assert "schema_version" not in payload  # the CLI adds the envelope
     assert payload["nodes"] == list(range(6))
     assert payload["edges"] == [
         {"from": 3, "to": 0, "label": "3W", "dominated": False}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -265,3 +266,130 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "x,p,marker,value"
+
+
+# sha256 of stdout and the exit code of each command, captured before the
+# single-table refactor; success output must stay byte-identical.  TABLE is
+# the file written by ``solve --tb 6 --x-max 20 --format json --out``,
+# RULESET the zugzwang ruleset.
+GOLDEN_CORPUS = [
+    ("solve --tb 5 --x-max 2", 0, "65c9d616c467494757d85a3406b2f9caf5cb2d75bd049ddafd732888bbde7321"),
+    ("solve --tb 9 --x-max 9 --format json", 0, "572b8ef0163b95e0eb3ec40b19865078a75f7c948c6358ad765205350256619e"),
+    ("limits --tb 8", 0, "27ff5e959ca7093d6036365eec61bb3666aeb0624fdae2b2bbffad9358706f53"),
+    ("check --tb 5 --x-max 30", 0, "8182e2edceca0d165ea740b38644c1b339a8a2bee8c4564b90803ee583032575"),
+    ("check --tb 8 --x-max 40 --with-oracle", 0, "3a19e7f1684c338b7be8b11e0dfd91fc31d7f32565e8a2d0d78083f940520197"),
+    ("automaton --tb 9", 0, "2ae34433a577560dd2b836bbe859151f153d6d64e973e6c1390b1e0b20d7acdd"),
+    ("conjecture --tb 9", 0, "8d428ee2417cdc3224fe0f0bffd09875a1ef35f5e809bef4fa342327245580ed"),
+    ("bids --tb 5 --kind tie --bid 0 --format dot", 0, "d5ca4cac7bce33b5002e9638ba7df01c7a64f720270a267587ffa20ebdc72be2"),
+    ("solve --tb 5 --x-max 2 --format csv", 0, "15fb44bc387124d948343d96527044da0b037b7c897c9b99c1ec772d4be837c5"),
+    ("solve --tb 5 --x-max 2 --format json", 0, "2b24cba5adeb5cf78eb032677ea14077e396b75f3a3c2d1590c103d4cc721901"),
+    ("limits --tb 0", 0, "726b1640bb100c19e41abbb392351b7a3bbb47c3a30f152f7817494d25a3c2f0"),
+    ("limits --tb 8 --format json", 0, "30574b963326fcaa8b7eca1923431c45af0a8b2372cdf9497b8e33138a14e86f"),
+    ("automaton --tb 8", 0, "b6a14a2cfe51a3b80c675e0d23a2163a29e4e7218db0d07e8c66dd4a3632aad0"),
+    ("automaton --tb 8 --format json", 0, "a0a8b5227e779ac8523360cc3aa0f0a4ca5c07ebe44ba55ccdf4385777358f4d"),
+    ("automaton --tb 9 --format json", 0, "3338b72a908e5f99e4c8b02888f2b945277fb6efe104f8a485664fc4f2af78c0"),
+    ("conjecture --tb 8", 0, "4a5427e731d241b1046fcf2748d4fe011566e7b1f3bc98a09f7ed24278b00fbe"),
+    ("conjecture --tb 9 --format json", 0, "ce199695442d9b7240d6b60d4da6e0ef0ad28c7a29d937f64e82c0699d1aff57"),
+    ("bids --tb 5 --kind tie --bid 0 --format json", 0, "d717648a43e695e5fbb9f2151597b62a80774d5dc6f46e9f5797623471ac820e"),
+    ("bids --tb 5 --kind holder-win --bid 3 --reduced", 0, "5056407bf912c7d44ea56243ac3c64df875bdf90433cf4fc481894142895b245"),
+    ("check --tb 8 --x-max 40 --with-oracle --format json", 0, "ac230dc3d9acba1f6e58bdc077f193b858a75d6e12a8ab2960883b2a974ef682"),
+    ("check --from-json TABLE", 0, "7a35accaf429cc80749d3e610d8d82f9135baab8851de4358c9efcb22131dfb6"),
+    ("check --from-json TABLE --format json", 0, "79ad8b0dd2b8b929701e622129c1f394843be0d59fd845326ad8356719d503e8"),
+    ("check --ruleset RULESET", 1, "58d71cdb9f2437deab3ae4880f4fa2b91eecd3d0f80facac2259f03df170a318"),
+    ("check --ruleset RULESET --format json", 1, "e16ebaba9e68057a3afc6a54a68966e88cad396f3649d31010626433e41189b6"),
+]
+SOLVE_OUT_TB6_X20_SHA256 = "98926765195e0c414efbee796b4934980f0041488b1d1bb32343818c54619c57"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("command,exit_code,digest", GOLDEN_CORPUS)
+def test_golden_corpus(tmp_path, capsys, command, exit_code, digest):
+    table = tmp_path / "table.json"
+    ruleset = tmp_path / "zugzwang.game"
+    ruleset.write_text(ZUGZWANG_RULESET)
+    assert main(["solve", "--tb", "6", "--x-max", "20", "--format", "json",
+                 "--out", str(table)]) == 0
+    assert _sha256(table.read_text(encoding="utf-8")) == SOLVE_OUT_TB6_X20_SHA256
+    capsys.readouterr()
+    argv = command.replace("TABLE", str(table)).replace("RULESET", str(ruleset))
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == exit_code
+    assert _sha256(out) == digest
+
+
+_GOOD_TABLE = {
+    "schema_version": 1,
+    "tb": 1,
+    "x_max": 1,
+    "rows": [{"x": 0, "values": [0, 0]}, {"x": 1, "values": [-1, 1]}],
+}
+
+
+def _table_text(**changes):
+    payload = json.loads(json.dumps(_GOOD_TABLE))
+    for key, value in changes.items():
+        if value is None:
+            del payload[key]
+        else:
+            payload[key] = value
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("this is not JSON", id="not-json"),
+        pytest.param(_table_text(rows=None), id="no-rows"),
+        pytest.param(_table_text(tb=None), id="no-tb"),
+        pytest.param(_table_text(x_max=None), id="no-x_max"),
+        pytest.param(_table_text(x_max=2), id="x_max-disagrees"),
+        pytest.param(
+            _table_text(rows=[{"x": 1, "values": [0, 0]}, {"x": 0, "values": [-1, 1]}]),
+            id="heap-label",
+        ),
+        pytest.param(
+            _table_text(rows=[{"x": 0, "values": [0, 0]}, {"x": 1, "values": [-1, 1, 1]}]),
+            id="row-length",
+        ),
+        pytest.param(
+            _table_text(rows=[{"x": 0, "values": [0, 0]}, {"x": 1, "values": [-1, "1"]}]),
+            id="string-value",
+        ),
+        pytest.param(
+            _table_text(rows=[{"x": 0, "values": [0, 0]}, {"x": 1, "values": [-1, True]}]),
+            id="bool-value",
+        ),
+    ],
+)
+def test_check_from_json_rejects_malformed_table(tmp_path, capsys, text):
+    path = tmp_path / "table.json"
+    path.write_text(_table_text())
+    assert run_cli(capsys, "check", "--from-json", str(path))[0] == 0
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "check", "--from-json", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "solve --tb -1 --x-max 2",
+        "solve --tb 3 --x-max -1",
+        "limits --tb -2",
+        "automaton --tb -1",
+        "conjecture --tb -1",
+        "check --tb -1",
+        "bids --tb 3 --kind tie --bid 9",
+        "play --tb 3 --x 2 --p 9 --marker L --engine-side L",
+    ],
+)
+def test_out_of_range_arguments_exit_usage(capsys, command):
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -7,13 +7,14 @@ from bcs.core import (
     BudgetOutOfRange,
     HeapNegative,
     InfeasibleBid,
-    OutcomeRow,
     OutcomeTable,
+    OutOfRange,
     RichmanPosition,
     Side,
     classify_bid,
     make_position,
 )
+from bcs.solver import value
 
 
 def test_make_position_examples():
@@ -107,22 +108,25 @@ def test_bid_pair_canonical_ordering():
 
 
 def test_outcome_row_zero_sum_flip():
-    row = OutcomeRow(heap=1, marker_left_values=(-1, -1, -1, 1, 1, 1))
-    assert row.tb == 5
-    assert row.marker_right_values == (-1, -1, -1, 1, 1, 1)
-    asym = OutcomeRow(heap=2, marker_left_values=(-2, 0, 0, 0, 2, 2))
-    assert asym.marker_right_values == (-2, -2, 0, 0, 0, 2)
+    table = OutcomeTable(
+        tb=5, rows=((0,) * 6, (-1, -1, -1, 1, 1, 1), (-2, 0, 0, 0, 2, 2))
+    )
+
+    def marker_right_values(x):
+        return tuple(value(table, make_position(5, x, p, Side.RIGHT)) for p in range(6))
+
+    assert marker_right_values(1) == (-1, -1, -1, 1, 1, 1)
+    assert marker_right_values(2) == (-2, -2, 0, 0, 0, 2)
 
 
 def test_outcome_table_validates_shape():
-    rows = (
-        OutcomeRow(heap=0, marker_left_values=(0, 0)),
-        OutcomeRow(heap=1, marker_left_values=(-1, 1)),
-    )
+    rows = ((0, 0), (-1, 1))
     table = OutcomeTable(tb=1, rows=rows)
     assert table.x_max == 1
     assert table.row(1) == (-1, 1)
+    with pytest.raises(OutOfRange):
+        table.row(2)
     with pytest.raises(ValueError):
         OutcomeTable(tb=2, rows=rows)
     with pytest.raises(ValueError):
-        OutcomeTable(tb=1, rows=rows[::-1])
+        OutcomeTable(tb=1, rows=((0, 0), (-1, 1, 1)))

@@ -86,10 +86,11 @@ def test_cell_values_and_nonempty_bids():
     table = solve(3, 5)
     for x in range(1, 6):
         for p in range(4):
-            cell = table.cell(x, p)
-            assert cell.value == table.row(x)[p]
-            assert cell.equilibrium_bids
-            assert cell.canonical_bid in cell.equilibrium_bids
+            pos = make_position(3, x, p, Side.LEFT)
+            assert value(table, pos) == table.row(x)[p]
+            bids = equilibrium_bids(table, pos)
+            assert bids
+            assert min(bids) in bids
 
 
 def test_tie_conditioned_value_examples():
