@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 from .core import OutcomeTable, RichmanPosition, Side
 from .oracle import oracle_value
-from .solver import solve, value
+from .solver import _held_values, _suffix_minima, solve, value
 
 
 @dataclass(frozen=True)
@@ -237,32 +236,42 @@ def forced_win_threshold(x: int, q: int, marker: Side) -> ForcedWinThreshold:
     return ForcedWinThreshold(x=x, q=q, marker=marker, threshold=threshold)
 
 
-@lru_cache(maxsize=None)
 def left_can_force_final_wins(x: int, p: int, q: int, marker: Side) -> bool:
     """Adversarial search: can Left win the next ``x`` auctions outright?
 
     Left commits to a bid; she must defeat every feasible Right bid (ties
     only count while she holds the marker, and cost her the marker) and
-    still force the remaining rounds from the resulting budgets.
+    still force the remaining rounds from the resulting budgets.  The memo
+    lives for one call.
     """
-    if x == 0:
-        return True
-    for l in range(p + 1):
-        ok = True
-        for r in range(q + 1):
-            if l > r:
-                nxt = (x - 1, p - l, q + l, marker)
-            elif l == r and marker is Side.LEFT:
-                nxt = (x - 1, p - l, q + l, Side.RIGHT)
-            else:
-                ok = False
-                break
-            if not left_can_force_final_wins(*nxt):
-                ok = False
-                break
-        if ok:
+    memo: dict[tuple[int, int, int, Side], bool] = {}
+
+    def wins(*state) -> bool:
+        if state not in memo:
+            memo[state] = search(*state)
+        return memo[state]
+
+    def search(x: int, p: int, q: int, marker: Side) -> bool:
+        if x == 0:
             return True
-    return False
+        for l in range(p + 1):
+            ok = True
+            for r in range(q + 1):
+                if l > r:
+                    nxt = (x - 1, p - l, q + l, marker)
+                elif l == r and marker is Side.LEFT:
+                    nxt = (x - 1, p - l, q + l, Side.RIGHT)
+                else:
+                    ok = False
+                    break
+                if not wins(*nxt):
+                    ok = False
+                    break
+            if ok:
+                return True
+        return False
+
+    return wins(x, p, q, marker)
 
 
 def verify_forced_wins(tb: int, x: int) -> InvariantReport:
@@ -407,36 +416,23 @@ def check_oracle_equivalence(tb: int, x_max: int) -> InvariantReport:
 
 
 def check_domination_soundness(tb: int, x_max: int) -> InvariantReport:
-    """Recompute the table with dominated overbids excluded and compare.
+    """Recompute every cell with dominated overbids excluded and compare.
 
     In the reduced recursion the only strict wins are Right's, so the cap
-    drops Right bids above Left's budget plus one.
+    drops Right bids above Left's budget plus one: Right's overbids then
+    reach only the budgets up to ``2p + 1``.
     """
-    reference = solve(tb, x_max)
-    prev = tuple([0] * (tb + 1))
-    rows = [prev]
-    for _ in range(x_max):
-        row = []
+    table = solve(tb, x_max)
+    for x in range(1, x_max + 1):
+        prev, row = table.row(x - 1), table.row(x)
         for p in range(tb + 1):
-            q = tb - p
-            best = None
-            for l in range(min(p, q) + 1):
-                worst = 1 - prev[q + l]
-                for r in range(l + 1, min(q, p + 1) + 1):
-                    worst = min(worst, prev[p + r] - 1)
-                best = worst if best is None else max(best, worst)
-            row.append(best)
-        prev = tuple(row)
-        rows.append(prev)
-    for x in range(x_max + 1):
-        ref = reference.row(x)
-        for p in range(tb + 1):
-            if rows[x][p] != ref[p]:
+            capped = max(_held_values(prev, p, _suffix_minima(prev[: 2 * p + 2])))
+            if capped != row[p]:
                 return InvariantReport(
                     name="domination_soundness",
                     tb=tb,
                     x_max=x_max,
                     passed=False,
-                    counterexample=Counterexample(x, p, (ref[p], rows[x][p])),
+                    counterexample=Counterexample(x, p, (row[p], capped)),
                 )
     return InvariantReport(name="domination_soundness", tb=tb, x_max=x_max, passed=True)

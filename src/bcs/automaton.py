@@ -25,7 +25,6 @@ confirm.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -104,13 +103,6 @@ def convergence_bound(tb: int) -> int:
     return 1 + (half + 1) ** 2 - half
 
 
-class AutomatonSeed(enum.Enum):
-    """How the automaton states are initialized."""
-
-    ALPHA_BETA = "alpha-beta"
-    FROM_SOLVER_LIMITS = "solver-limits"
-
-
 @dataclass(frozen=True)
 class AutomatonTable:
     """Per-parity state values of the zero-bid automaton.
@@ -134,35 +126,22 @@ class AutomatonTable:
         )
 
 
-def automaton_fixed_point(
-    tb: int,
-    seed: AutomatonSeed = AutomatonSeed.ALPHA_BETA,
-    beta_mode: BetaMode = "truncated",
-) -> AutomatonTable:
-    """Build the automaton table from a seeded state plus the update rule.
+def automaton_fixed_point(tb: int, beta_mode: BetaMode = "truncated") -> AutomatonTable:
+    """Build the automaton table from a closed-form state plus the update rule.
 
-    With the closed-form seed, even total budgets take ``alpha_even`` on the
-    even state; odd total budgets take ``beta`` on the odd state, whose
-    values have odd parity as the score parity law demands.  The other
-    state always comes from the update rule.  With the solver seed, the
-    even state is the solved even limit row and the odd state is derived,
-    which isolates the update rule itself for comparison.
+    Even total budgets take ``alpha_even`` on the even state; odd total
+    budgets take ``beta`` on the odd state, whose values have odd parity as
+    the score parity law demands.  The other state always comes from the
+    update rule.
     """
     if tb < 0:
         raise ValueError(f"total budget must be >= 0, got {tb}")
-    if seed is AutomatonSeed.ALPHA_BETA:
-        if tb % 2 == 0:
-            even = tuple(alpha_even(2 * p - tb) for p in range(tb + 1))
-            odd = tuple(1 - even[tb - p] for p in range(tb + 1))
-        else:
-            odd = tuple(beta(2 * p - tb, beta_mode) for p in range(tb + 1))
-            even = tuple(1 - odd[tb - p] for p in range(tb + 1))
-    else:
-        from .solver import limit_rows
-
-        limits = limit_rows(tb)
-        even = tuple(limits.even_row)
+    if tb % 2 == 0:
+        even = tuple(alpha_even(2 * p - tb) for p in range(tb + 1))
         odd = tuple(1 - even[tb - p] for p in range(tb + 1))
+    else:
+        odd = tuple(beta(2 * p - tb, beta_mode) for p in range(tb + 1))
+        even = tuple(1 - odd[tb - p] for p in range(tb + 1))
     return AutomatonTable(tb=tb, even_state=even, odd_state=odd)
 
 
@@ -176,7 +155,7 @@ def outcome_bounds(
     """
     if not 0 <= p <= tb:
         raise ValueError(f"budget {p} outside 0..{tb}")
-    table = automaton_fixed_point(tb, AutomatonSeed.ALPHA_BETA, beta_mode)
+    table = automaton_fixed_point(tb, beta_mode)
     return table.state(parity)[p]
 
 
@@ -199,7 +178,6 @@ class ConvergenceReport:
     even_row: tuple[int, ...]
     odd_row: tuple[int, ...]
     update_rule_holds: bool
-    closure_diffs: tuple[tuple[int, int, int], ...]
     matches: dict[str, str] = field(default_factory=dict)
     diffs: dict[str, tuple[tuple[str, int, int, int], ...]] = field(default_factory=dict)
 
@@ -238,12 +216,6 @@ def conjecture_report(tb: int) -> ConvergenceReport:
     limits = limit_rows(tb)
     even, odd = limits.even_row, limits.odd_row
 
-    closure_diffs = tuple(
-        (p, even[p], 1 - odd[tb - p])
-        for p in range(tb + 1)
-        if even[p] != 1 - odd[tb - p]
-    )
-
     matches: dict[str, str] = {}
     diffs: dict[str, tuple[tuple[str, int, int, int], ...]] = {}
     if tb % 2 == 0:
@@ -253,7 +225,7 @@ def conjecture_report(tb: int) -> ConvergenceReport:
             diffs["alpha"] = cells
     else:
         for mode in BETA_MODES:
-            table = automaton_fixed_point(tb, AutomatonSeed.ALPHA_BETA, mode)
+            table = automaton_fixed_point(tb, mode)
             verdict, cells = _compare(even, odd, table)
             matches[f"beta_{mode}"] = verdict
             if verdict != "exact":
@@ -265,8 +237,7 @@ def conjecture_report(tb: int) -> ConvergenceReport:
         x_star=limits.x_star,
         even_row=even,
         odd_row=odd,
-        update_rule_holds=not closure_diffs,
-        closure_diffs=closure_diffs,
+        update_rule_holds=AutomatonTable(tb, even, odd).update_rule_holds(),
         matches=matches,
         diffs=diffs,
     )

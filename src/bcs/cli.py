@@ -28,6 +28,12 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
 
+# Bad arguments and malformed input files; any other ``GameError`` is a failed check.
+_USAGE_ERRORS = (
+    ValueError, OSError, BudgetOutOfRange, HeapNegative,
+    general.RulesetParseError, general.CyclicRuleset, general.InvalidRuleset,
+)
+
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None or out_path == "-":
@@ -317,8 +323,8 @@ def cmd_play(args: argparse.Namespace) -> int:
     engine_side = Side.LEFT if args.engine_side == "L" else Side.RIGHT
     marker = Side.LEFT if args.marker == "L" else Side.RIGHT
     human_side = engine_side.opponent
-    table = solver.solve(args.tb, args.x)
     pos = make_position(args.tb, args.x, args.p, marker)
+    table = solver.solve(args.tb, args.x)
     score = 0
     print(f"you play {human_side.name.title()}; the engine plays "
           f"{engine_side.name.title()}; bids are sealed")
@@ -436,7 +442,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, BudgetOutOfRange, HeapNegative, OSError) as exc:
+    except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GameError as exc:

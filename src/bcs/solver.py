@@ -8,6 +8,13 @@ equilibrium bid pairs, and independently by :mod:`bcs.oracle`, which replays
 the full three-branch recursion over the complete bid matrix as a
 cross-check.
 
+Right's overbids against a Left bid land on a contiguous run of budgets
+that reaches the end of the previous row, so the best overbid is a suffix
+minimum of that row.  The suffix minima are computed once per row, and a
+row then costs O(tb^2): one scan over Left's bids per budget split.  The
+suffix form uses no property of the solved rows and is exact for any
+integer row.
+
 Only marker-Left values are stored.  The value of a position where Right
 holds the marker is the zero-sum flip ``-row[q]``.  Row ``x`` depends only
 on row ``x - 1``; :func:`solve` is the one loop that stacks them, and
@@ -16,6 +23,7 @@ on row ``x - 1``; :func:`solve` is the one loop that stacks them, and
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple
 
 from .automaton import convergence_bound
@@ -34,25 +42,37 @@ class ConvergenceBoundExceeded(GameError):
     """Raised when same-parity rows still differ at the convergence bound."""
 
 
-def _next_row(tb: int, prev: tuple[int, ...]) -> tuple[int, ...]:
-    """One step of the reduced recursion.
+def _suffix_minima(values: tuple[int, ...]) -> list[int]:
+    """``out[i] = min(values[i:])`` for every index of ``values``."""
+    return list(accumulate(reversed(values), min))[::-1]
 
-    For Left bidding ``l`` (never more than either budget), Right either
-    accepts the tie, worth ``1 - prev[q + l]`` after the payment and the
-    marker change hands, or overbids with some ``r`` in ``l+1..q``, worth
-    ``prev[p + r] - 1``.  Right minimizes, Left maximizes.
+
+def _held_values(prev: tuple[int, ...], p: int, low: list[int]) -> list[int]:
+    """What Right can hold each Left bid ``l = 0..min(p, q)`` to at budget ``p``.
+
+    Right either accepts the tie, worth ``1 - prev[q + l]`` after the
+    payment and the marker change hands, or overbids with some ``r > l``,
+    worth ``prev[p + r] - 1``.  The overbids land on a contiguous run of
+    budgets starting at ``p + l + 1``, so the best of them is
+    ``low[p + l + 1] - 1`` where ``low`` holds the suffix minima of ``prev``
+    over the budgets an overbid can reach.  A Left bid of all of Right's
+    money (``l = q``) leaves no overbid.
     """
-    row = []
-    for p in range(tb + 1):
-        q = tb - p
-        best = None
-        for l in range(min(p, q) + 1):
-            worst = 1 - prev[q + l]
-            for r in range(l + 1, q + 1):
-                worst = min(worst, prev[p + r] - 1)
-            best = worst if best is None else max(best, worst)
-        row.append(best)
-    return tuple(row)
+    q = len(prev) - 1 - p
+    held = [min(1 - prev[q + l], low[p + l + 1] - 1) for l in range(min(p, q - 1) + 1)]
+    if q <= p:
+        held.append(1 - prev[2 * q])
+    return held
+
+
+def _next_row(tb: int, prev: tuple[int, ...]) -> tuple[int, ...]:
+    """One step of the reduced recursion: Right minimizes, Left maximizes.
+
+    Left bids ``l`` (never more than either budget) and Right replies with
+    the tie or any overbid up to its budget ``q``; see :func:`_held_values`.
+    """
+    low = _suffix_minima(prev)
+    return tuple(max(_held_values(prev, p, low)) for p in range(tb + 1))
 
 
 def solve(tb: int, x_max: int) -> OutcomeTable:
@@ -99,25 +119,23 @@ def tie_conditioned_value(table: OutcomeTable, pos: RichmanPosition, l: int) -> 
 def _marker_left_bids(prev: tuple[int, ...], tb: int, p: int) -> frozenset[BidPair]:
     """Equilibrium bid pairs at a marker-Left cell, from the previous row.
 
-    Enumerates Left bids ``0..min(p, q)``; for each, Right's responses are
-    the tie and every overbid.  Every maximizing Left bid is paired with
-    every minimizing response.
+    Every Left bid that Right holds to the row's value is paired with each
+    of Right's replies, the tie or an overbid, that attains it.
     """
     q = tb - p
-    options: dict[int, list[tuple[BidPair, int]]] = {}
-    for l in range(min(p, q) + 1):
-        tie = BidPair(l, l, BidWinner.LEFT_TIE)
-        responses = [(tie, 1 - prev[q + l])]
-        for r in range(l + 1, q + 1):
-            responses.append((BidPair(l, r, BidWinner.RIGHT_STRICT), prev[p + r] - 1))
-        options[l] = responses
-    best = max(min(v for _, v in resp) for resp in options.values())
+    held = _held_values(prev, p, _suffix_minima(prev))
+    best = max(held)
     pairs = set()
-    for responses in options.values():
-        worst = min(v for _, v in responses)
+    for l, worst in enumerate(held):
         if worst != best:
             continue
-        pairs.update(bid for bid, v in responses if v == worst)
+        if 1 - prev[q + l] == worst:
+            pairs.add(BidPair(l, l, BidWinner.LEFT_TIE))
+        pairs.update(
+            BidPair(l, r, BidWinner.RIGHT_STRICT)
+            for r in range(l + 1, q + 1)
+            if prev[p + r] - 1 == worst
+        )
     return frozenset(pairs)
 
 

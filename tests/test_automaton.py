@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bcs.automaton import (
-    AutomatonSeed,
     ParityError,
     alpha_even,
     alpha_odd,
@@ -13,7 +12,7 @@ from bcs.automaton import (
     iota,
     outcome_bounds,
 )
-from bcs.solver import limit_rows, solve
+from bcs.solver import solve
 
 from goldens import TB8_EVEN_LIMIT, TB8_ODD_LIMIT, TB9_EVEN_LIMIT, TB9_ODD_LIMIT
 
@@ -106,13 +105,6 @@ def test_fixed_point_tb0():
     table = automaton_fixed_point(0)
     assert table.even_state == (0,)
     assert table.odd_state == (1,)
-
-
-def test_fixed_point_from_solver_limits():
-    table = automaton_fixed_point(7, seed=AutomatonSeed.FROM_SOLVER_LIMITS)
-    limits = limit_rows(7)
-    assert table.even_state == limits.even_row
-    assert table.odd_state == limits.odd_row  # update rule reproduces the odd row
 
 
 def test_convergence_bound_values():

@@ -386,10 +386,34 @@ def test_check_from_json_rejects_malformed_table(tmp_path, capsys, text):
         "check --tb -1",
         "bids --tb 3 --kind tie --bid 9",
         "play --tb 3 --x 2 --p 9 --marker L --engine-side L",
+        "play --tb 3 --x -1 --p 1 --marker L --engine-side L",
     ],
 )
 def test_out_of_range_arguments_exit_usage(capsys, command):
     code, out, err = run_cli(capsys, *command.split())
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if "--x -1" in command:
+        assert "heap" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("node a\nnodd a\ntb 1\nbids all\n", id="unknown-directive"),
+        pytest.param(
+            "node a\nnode b\nedge L a b 1\nedge R b a -1\ntb 1\nbids all\n",
+            id="cyclic",
+        ),
+        pytest.param("node a terminal 0\ntb 1\nbids 0,2\n", id="bid-out-of-range"),
+        pytest.param("node a\nedge L a b 1\ntb 1\nbids all\n", id="undeclared-node"),
+    ],
+)
+def test_malformed_ruleset_exits_usage(tmp_path, capsys, text):
+    path = tmp_path / "broken.game"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "check", "--ruleset", str(path))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

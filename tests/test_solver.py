@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bcs.core import BidPair, BidWinner, InfeasibleBid, OutOfRange, Side, make_position
 from bcs.solver import (
     ConvergenceBoundExceeded,
+    _marker_left_bids,
+    _next_row,
     equilibrium_bids,
     limit_rows,
     solve,
@@ -176,3 +179,39 @@ def test_solve_input_validation():
 
 def test_convergence_error_is_exported():
     assert issubclass(ConvergenceBoundExceeded, Exception)
+
+
+def _literal_responses(prev, p):
+    """The reduced recursion as defined: for each Left bid ``l``, Right's tie
+    and every overbid ``r`` in ``l+1..q`` with its value."""
+    tb = len(prev) - 1
+    q = tb - p
+    return {
+        l: [(BidPair(l, l, BidWinner.LEFT_TIE), 1 - prev[q + l])]
+        + [(BidPair(l, r, BidWinner.RIGHT_STRICT), prev[p + r] - 1) for r in range(l + 1, q + 1)]
+        for l in range(min(p, q) + 1)
+    }
+
+
+# Any integer row, monotone or not: the suffix-minimum kernel relies on no
+# property of the solved tables, only on the overbids landing on a suffix.
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.integers(-3, 3), st.integers()), min_size=1, max_size=17))
+@example([3, -2, 5, 0, 1])
+def test_kernel_matches_literal_recursion_on_any_row(prev):
+    prev = tuple(prev)
+    tb = len(prev) - 1
+    row = _next_row(tb, prev)
+    for p in range(tb + 1):
+        options = _literal_responses(prev, p)
+        held = {l: min(v for _, v in replies) for l, replies in options.items()}
+        best = max(held.values())
+        assert row[p] == best
+        expected = {
+            bid
+            for l, replies in options.items()
+            if held[l] == best
+            for bid, v in replies
+            if v == best
+        }
+        assert _marker_left_bids(prev, tb, p) == expected
