@@ -33,8 +33,11 @@ class InvariantReport:
     name: str
     tb: int
     x_max: int
-    passed: bool
     counterexample: Counterexample | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
     def __str__(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -189,19 +192,10 @@ INVARIANT_NAMES = tuple(name for name, _ in _INVARIANTS)
 
 def run_invariant_suite_on(table: OutcomeTable) -> list[InvariantReport]:
     """Run all ten invariant scans over an already solved table."""
-    reports = []
-    for name, check in _INVARIANTS:
-        cex = check(table)
-        reports.append(
-            InvariantReport(
-                name=name,
-                tb=table.tb,
-                x_max=table.x_max,
-                passed=cex is None,
-                counterexample=cex,
-            )
-        )
-    return reports
+    return [
+        InvariantReport(name, table.tb, table.x_max, check(table))
+        for name, check in _INVARIANTS
+    ]
 
 
 def run_invariant_suite(tb: int, x_max: int) -> list[InvariantReport]:
@@ -276,22 +270,18 @@ def left_can_force_final_wins(x: int, p: int, q: int, marker: Side) -> bool:
 
 def verify_forced_wins(tb: int, x: int) -> InvariantReport:
     """Check the closed-form thresholds against the search for every split."""
+    return InvariantReport("forced_win_threshold", tb, x, _forced_win_miss(tb, x))
+
+
+def _forced_win_miss(tb: int, x: int) -> Counterexample | None:
     for marker in (Side.LEFT, Side.RIGHT):
         for p in range(tb + 1):
             q = tb - p
             expected = p >= forced_win_threshold(x, q, marker).threshold
             got = left_can_force_final_wins(x, p, q, marker)
             if got != expected:
-                return InvariantReport(
-                    name="forced_win_threshold",
-                    tb=tb,
-                    x_max=x,
-                    passed=False,
-                    counterexample=Counterexample(
-                        x, p, (int(expected), int(got)), f"marker={marker}"
-                    ),
-                )
-    return InvariantReport(name="forced_win_threshold", tb=tb, x_max=x, passed=True)
+                return Counterexample(x, p, (int(expected), int(got)), f"marker={marker}")
+    return None
 
 
 class BidGraphKind(enum.Enum):
@@ -396,23 +386,18 @@ def check_oracle_equivalence(tb: int, x_max: int) -> InvariantReport:
     solver relies on is exercised against independently computed values.
     """
     table = solve(tb, x_max)
-    for x in range(x_max + 1):
-        for p in range(tb + 1):
-            for marker in (Side.LEFT, Side.RIGHT):
-                pos = RichmanPosition(tb=tb, heap=x, left_budget=p, marker=marker)
-                fast = value(table, pos)
-                slow = oracle_value(tb, pos)
-                if fast != slow:
-                    return InvariantReport(
-                        name="oracle_equivalence",
-                        tb=tb,
-                        x_max=x_max,
-                        passed=False,
-                        counterexample=Counterexample(
-                            x, p, (fast, slow), f"marker={marker}"
-                        ),
-                    )
-    return InvariantReport(name="oracle_equivalence", tb=tb, x_max=x_max, passed=True)
+    return InvariantReport("oracle_equivalence", tb, x_max, _oracle_mismatch(table))
+
+
+def _oracle_mismatch(table: OutcomeTable) -> Counterexample | None:
+    for x, p, _ in _cells(table):
+        for marker in (Side.LEFT, Side.RIGHT):
+            pos = RichmanPosition(tb=table.tb, heap=x, left_budget=p, marker=marker)
+            fast = value(table, pos)
+            slow = oracle_value(table.tb, pos)
+            if fast != slow:
+                return Counterexample(x, p, (fast, slow), f"marker={marker}")
+    return None
 
 
 def check_domination_soundness(tb: int, x_max: int) -> InvariantReport:
@@ -423,16 +408,14 @@ def check_domination_soundness(tb: int, x_max: int) -> InvariantReport:
     reach only the budgets up to ``2p + 1``.
     """
     table = solve(tb, x_max)
-    for x in range(1, x_max + 1):
+    return InvariantReport("domination_soundness", tb, x_max, _capped_mismatch(table))
+
+
+def _capped_mismatch(table: OutcomeTable) -> Counterexample | None:
+    for x in range(1, table.x_max + 1):
         prev, row = table.row(x - 1), table.row(x)
-        for p in range(tb + 1):
+        for p in range(table.tb + 1):
             capped = max(_held_values(prev, p, _suffix_minima(prev[: 2 * p + 2])))
             if capped != row[p]:
-                return InvariantReport(
-                    name="domination_soundness",
-                    tb=tb,
-                    x_max=x_max,
-                    passed=False,
-                    counterexample=Counterexample(x, p, (row[p], capped)),
-                )
-    return InvariantReport(name="domination_soundness", tb=tb, x_max=x_max, passed=True)
+                return Counterexample(x, p, (row[p], capped))
+    return None

@@ -145,6 +145,17 @@ def automaton_fixed_point(tb: int, beta_mode: BetaMode = "truncated") -> Automat
     return AutomatonTable(tb=tb, even_state=even, odd_state=odd)
 
 
+def closed_form_tables(tb: int) -> dict[str, AutomatonTable]:
+    """The automaton tables the closed forms give, by mode name.
+
+    ``alpha`` for even total budgets; ``beta_euclidean`` and
+    ``beta_truncated`` for odd ones.
+    """
+    if tb % 2 == 0:
+        return {"alpha": automaton_fixed_point(tb)}
+    return {f"beta_{mode}": automaton_fixed_point(tb, mode) for mode in BETA_MODES}
+
+
 def outcome_bounds(
     tb: int, p: int, parity: Literal["even", "odd"], beta_mode: BetaMode = "truncated"
 ) -> int:
@@ -218,18 +229,10 @@ def conjecture_report(tb: int) -> ConvergenceReport:
 
     matches: dict[str, str] = {}
     diffs: dict[str, tuple[tuple[str, int, int, int], ...]] = {}
-    if tb % 2 == 0:
-        verdict, cells = _compare(even, odd, automaton_fixed_point(tb))
-        matches["alpha"] = verdict
-        if verdict != "exact":
-            diffs["alpha"] = cells
-    else:
-        for mode in BETA_MODES:
-            table = automaton_fixed_point(tb, mode)
-            verdict, cells = _compare(even, odd, table)
-            matches[f"beta_{mode}"] = verdict
-            if verdict != "exact":
-                diffs[f"beta_{mode}"] = cells
+    for name, table in closed_form_tables(tb).items():
+        matches[name], cells = _compare(even, odd, table)
+        if matches[name] != "exact":
+            diffs[name] = cells
 
     return ConvergenceReport(
         tb=tb,

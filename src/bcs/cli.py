@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import analysis, automaton, general, solver
 from .core import (
@@ -48,28 +48,18 @@ def _emit_json(payload: dict, out_path: str | None) -> None:
     _emit(json.dumps({"schema_version": 1, **payload}, indent=2) + "\n", out_path)
 
 
-def _render_value_table(table: OutcomeTable) -> str:
-    budgets = range(table.tb, -1, -1)
-    header = ["x \\ p^"] + [str(p) for p in budgets]
-    body = [[str(x)] + [str(row[p]) for p in budgets] for x, row in enumerate(table.rows)]
-    return _render_columns([header] + body)
-
-
-def _render_columns(lines: list[list[str]]) -> str:
+def _render_budget_columns(
+    tb: int, corner: str, rows: Iterable[tuple[str, Sequence[int]]]
+) -> str:
+    """Right-aligned columns of per-budget values under a header of the
+    budgets, richest first; each row is a label and its ``tb + 1`` values."""
+    lines = [[corner] + [str(p) for p in range(tb, -1, -1)]]
+    lines += [[label] + [str(v) for v in reversed(values)] for label, values in rows]
     widths = [max(len(line[i]) for line in lines) for i in range(len(lines[0]))]
     rendered = [
         "  ".join(cell.rjust(w) for cell, w in zip(line, widths)) for line in lines
     ]
     return "\n".join(rendered) + "\n"
-
-
-def _render_parity_rows(tb: int, even: Sequence[int], odd: Sequence[int]) -> str:
-    lines = [
-        ["p^"] + [str(p) for p in range(tb, -1, -1)],
-        ["x even"] + [str(even[p]) for p in range(tb, -1, -1)],
-        ["x odd"] + [str(odd[p]) for p in range(tb, -1, -1)],
-    ]
-    return _render_columns(lines)
 
 
 def _table_json(table: OutcomeTable) -> dict:
@@ -124,17 +114,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
     elif args.format == "json":
         _emit_json(_table_json(table), args.out)
     else:
-        _emit(_render_value_table(table), args.out)
+        rows = ((str(x), row) for x, row in enumerate(table.rows))
+        _emit(_render_budget_columns(table.tb, "x \\ p^", rows), args.out)
     return EXIT_OK
 
 
 def cmd_limits(args: argparse.Namespace) -> int:
     bound = automaton.convergence_bound(args.tb)
-    try:
-        limits = solver.limit_rows(args.tb)
-    except solver.ConvergenceBoundExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    limits = solver.limit_rows(args.tb)
     if args.format == "json":
         payload = {
             "tb": args.tb,
@@ -146,7 +133,8 @@ def cmd_limits(args: argparse.Namespace) -> int:
         _emit_json(payload, args.out)
     else:
         text = f"tb = {args.tb}  B(tb) = {bound}  x_star = {limits.x_star}\n"
-        text += _render_parity_rows(args.tb, limits.even_row, limits.odd_row)
+        rows = [("x even", limits.even_row), ("x odd", limits.odd_row)]
+        text += _render_budget_columns(args.tb, "p^", rows)
         _emit(text, args.out)
     return EXIT_OK
 
@@ -200,6 +188,11 @@ def _check_ruleset(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    sources = (args.tb, args.ruleset, args.from_json)
+    if sum(source is not None for source in sources) != 1:
+        raise ValueError("check needs exactly one of --tb, --ruleset and --from-json")
+    if args.tb is None and (args.with_oracle or args.x_max is not None):
+        raise ValueError("--with-oracle and --x-max need --tb")
     if args.ruleset is not None:
         return _check_ruleset(args)
 
@@ -212,9 +205,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         table = load_outcome_table_json(data)
         reports = analysis.run_invariant_suite_on(table)
     else:
-        if args.tb is None:
-            print("error: check needs --tb, --ruleset, or --from-json", file=sys.stderr)
-            return EXIT_USAGE
         x_max = args.x_max
         if x_max is None:
             x_max = automaton.convergence_bound(args.tb) + 2
@@ -236,14 +226,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_automaton(args: argparse.Namespace) -> int:
     tb = args.tb
     bound = automaton.convergence_bound(tb)
-    tables = {}
-    if tb % 2 == 0:
-        tables["alpha"] = automaton.automaton_fixed_point(tb)
-    else:
-        for mode in automaton.BETA_MODES:
-            tables[f"beta_{mode}"] = automaton.automaton_fixed_point(
-                tb, beta_mode=mode
-            )
+    tables = automaton.closed_form_tables(tb)
     if args.format == "json":
         payload = {
             "tb": tb,
@@ -259,17 +242,14 @@ def cmd_automaton(args: argparse.Namespace) -> int:
         for name, t in tables.items():
             text += f"seed {name} (update rule: "
             text += "holds)\n" if t.update_rule_holds() else "FAILS)\n"
-            text += _render_parity_rows(tb, t.even_state, t.odd_state)
+            rows = [("x even", t.even_state), ("x odd", t.odd_state)]
+            text += _render_budget_columns(tb, "p^", rows)
         _emit(text, args.out)
     return EXIT_OK
 
 
 def cmd_conjecture(args: argparse.Namespace) -> int:
-    try:
-        report = automaton.conjecture_report(args.tb)
-    except solver.ConvergenceBoundExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    report = automaton.conjecture_report(args.tb)
     if args.format == "json":
         payload = {
             "tb": report.tb,
@@ -357,16 +337,15 @@ def cmd_play(args: argparse.Namespace) -> int:
             l, r = engine_bid, human_bid
         else:
             l, r = human_bid, engine_bid
-        bid, after = classify_bid(pos, l, r)
+        bid, pos = classify_bid(pos, l, r)
         winner = bid.winner.side
         removal = 1 if winner is Side.LEFT else -1
         score += removal
         how = "wins the tie" if bid.winner.is_tie else "wins the bid"
         print(
             f"bids: L={l} R={r} -> {winner.name.title()} {how}, removes a pebble"
-            + (f", marker -> {after.marker}" if bid.winner.is_tie else "")
+            + (f", marker -> {pos.marker}" if bid.winner.is_tie else "")
         )
-        pos = make_position(args.tb, pos.heap - 1, after.left_budget, after.marker)
     print(f"game over, final score {score:+d}")
     return EXIT_OK
 
@@ -445,6 +424,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except solver.ConvergenceBoundExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     except GameError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED

@@ -149,12 +149,14 @@ class BidPair:
 def classify_bid(
     pos: RichmanPosition, left_bid: int, right_bid: int
 ) -> tuple[BidPair, RichmanPosition]:
-    """Resolve one auction and return the classified pair and successor state.
+    """Resolve one whole turn and return the classified pair and successor state.
 
-    The successor keeps the same heap (removals are the caller's business):
-    the winner pays their bid to the loser, and the marker changes hands
-    exactly when the resolution was a tie.
+    The winner pays their bid to the loser and removes one pebble, so the
+    successor is at ``heap - 1``; the marker changes hands exactly when the
+    resolution was a tie.  An empty heap raises :class:`GameAlreadyOver`.
     """
+    if pos.heap < 1:
+        raise GameAlreadyOver("no bidding on an empty heap")
     if left_bid < 0 or left_bid > pos.left_budget:
         raise InfeasibleBid(
             f"Left bid {left_bid} infeasible with budget {pos.left_budget}"
@@ -181,7 +183,7 @@ def classify_bid(
 
     bid = BidPair(left_bid=left_bid, right_bid=right_bid, winner=winner)
     successor = RichmanPosition(
-        tb=pos.tb, heap=pos.heap, left_budget=new_left, marker=new_marker
+        tb=pos.tb, heap=pos.heap - 1, left_budget=new_left, marker=new_marker
     )
     return bid, successor
 

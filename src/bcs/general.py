@@ -24,7 +24,7 @@ position where play should continue, the ruleset is invalid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Mapping
 
 from .core import GameError, Side
 
@@ -132,10 +132,6 @@ class GeneralRuleset:
         )
 
 
-def _ordered(nodes: Iterable[Node]) -> list[Node]:
-    return sorted(nodes, key=repr)
-
-
 class _Evaluator:
     """Memoized two-sided value recursion over (node, left budget, marker)."""
 
@@ -157,33 +153,27 @@ class _Evaluator:
         if rs.is_fully_terminal(x):
             return rs.penalty(x)
         q = rs.tb - p
-        left_bids = sorted(b for b in rs.bid_set if b <= p)
-        right_bids = sorted(b for b in rs.bid_set if b <= q)
-        if left_bids and right_bids:
-            return self._auction(x, p, marker, left_bids, right_bids)
-        if left_bids:
-            return self._unopposed(x, p, marker, Side.LEFT, left_bids)
-        if right_bids:
-            return self._unopposed(x, p, marker, Side.RIGHT, right_bids)
-        raise InvalidRuleset(
-            f"no player can bid at {x!r} with budgets {p}/{q} and bids "
-            f"{sorted(rs.bid_set)}"
+        left_moves = rs.moves(Side.LEFT, x) or [None]
+        right_moves = rs.moves(Side.RIGHT, x) or [None]
+        # A player who cannot afford any allowed bid passes: bid -1 loses
+        # every auction, so the other player acts unopposed.
+        passing = [(-1, None)]
+        left_decls = [(l, y) for l in rs.bid_set if l <= p for y in left_moves] or passing
+        right_decls = [(r, z) for r in rs.bid_set if r <= q for z in right_moves] or passing
+        if left_decls == right_decls == passing:
+            raise InvalidRuleset(
+                f"no player can bid at {x!r} with budgets {p}/{q} and bids "
+                f"{sorted(rs.bid_set)}"
+            )
+        if self.minimax:
+            return min(
+                max(self._payoff(x, p, marker, l, y, r, z) for l, y in left_decls)
+                for r, z in right_decls
+            )
+        return max(
+            min(self._payoff(x, p, marker, l, y, r, z) for r, z in right_decls)
+            for l, y in left_decls
         )
-
-    def _unopposed(
-        self, x: Node, p: int, marker: Side, side: Side, bids: list[int]
-    ) -> int:
-        """Only one player can bid: they pay some allowed bid and act."""
-        rs = self.rs
-        moves = rs.moves(side, x)
-        if not moves:
-            return rs.penalty(x)
-        outcomes = []
-        for b in bids:
-            np = p - b if side is Side.LEFT else p + b
-            for y in _ordered(moves):
-                outcomes.append(self.value(y, np, marker) + rs.weight(side, x, y))
-        return max(outcomes) if side is Side.LEFT else min(outcomes)
 
     def _payoff(
         self,
@@ -207,24 +197,6 @@ class _Evaluator:
             return rs.penalty(x)
         nm = Side.LEFT if tie else marker
         return self.value(z, p + r, nm) + rs.weight(Side.RIGHT, x, z)
-
-    def _auction(
-        self, x: Node, p: int, marker: Side, left_bids: list[int], right_bids: list[int]
-    ) -> int:
-        rs = self.rs
-        left_moves = _ordered(rs.moves(Side.LEFT, x)) or [None]
-        right_moves = _ordered(rs.moves(Side.RIGHT, x)) or [None]
-        left_decls = [(l, y) for l in left_bids for y in left_moves]
-        right_decls = [(r, z) for r in right_bids for z in right_moves]
-        if self.minimax:
-            return min(
-                max(self._payoff(x, p, marker, l, y, r, z) for l, y in left_decls)
-                for r, z in right_decls
-            )
-        return max(
-            min(self._payoff(x, p, marker, l, y, r, z) for r, z in right_decls)
-            for l, y in left_decls
-        )
 
 
 def general_maximin(
@@ -345,14 +317,14 @@ def reduced_symmetric_value(ruleset: GeneralRuleset, node: Node, left_budget: in
             return memo[key]
         q = tb - p
         candidates = []
-        for l in sorted(b for b in ruleset.bid_set if b <= p):
+        for l in (b for b in ruleset.bid_set if b <= p):
             overbids = [
                 red(z, p + r) - ruleset.weight(Side.LEFT, x, z)
                 for r in ruleset.bid_set
                 if l < r <= q
                 for z in ruleset.moves(Side.LEFT, x)
             ]
-            for y in _ordered(ruleset.moves(Side.LEFT, x)):
+            for y in ruleset.moves(Side.LEFT, x):
                 options = list(overbids)
                 if l <= q:
                     options.append(ruleset.weight(Side.LEFT, x, y) - red(y, q + l))

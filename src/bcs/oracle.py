@@ -142,19 +142,12 @@ def replay(
     steps = []
     score = 0
     for i, (l, r) in enumerate(bids):
-        if pos.heap < 1:
-            raise GameAlreadyOver(f"bid {i} supplied after the game ended", index=i)
         try:
-            bid, after_auction = classify_bid(pos, l, r)
-        except InfeasibleBid as exc:
-            raise InfeasibleBid(str(exc), index=i) from None
+            bid, after = classify_bid(pos, l, r)
+        except (GameAlreadyOver, InfeasibleBid) as exc:
+            raise type(exc)(str(exc), index=i) from None
         removal = 1 if bid.winner.side is Side.LEFT else -1
         score += removal
         steps.append(PlayStep(position=pos, bid=bid, removal=removal))
-        pos = RichmanPosition(
-            tb=tb,
-            heap=pos.heap - 1,
-            left_budget=after_auction.left_budget,
-            marker=after_auction.marker,
-        )
+        pos = after
     return PlayTrace(steps=tuple(steps), final_position=pos, utility=score)

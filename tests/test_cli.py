@@ -72,17 +72,19 @@ def test_limits_tb0_text(capsys):
     assert lines[3].split() == ["x", "odd", "1"]
 
 
-def test_limits_convergence_failure_exit_code(capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["limits", "conjecture"])
+def test_convergence_failure_exit_code(capsys, monkeypatch, command):
     from bcs.solver import ConvergenceBoundExceeded
 
     def explode(tb):
         raise ConvergenceBoundExceeded("rows still differ")
 
-    monkeypatch.setattr("bcs.cli.solver.limit_rows", explode)
-    code = main(["limits", "--tb", "3"])
+    monkeypatch.setattr("bcs.solver.limit_rows", explode)
+    code = main([command, "--tb", "3"])
     captured = capsys.readouterr()
     assert code == 3
-    assert "rows still differ" in captured.err
+    assert captured.out == ""
+    assert captured.err == "error: rows still differ\n"
 
 
 def test_automaton_matches_limits_tb8(capsys):
@@ -387,10 +389,23 @@ def test_check_from_json_rejects_malformed_table(tmp_path, capsys, text):
         "bids --tb 3 --kind tie --bid 9",
         "play --tb 3 --x 2 --p 9 --marker L --engine-side L",
         "play --tb 3 --x -1 --p 1 --marker L --engine-side L",
+        "check",
+        "check --with-oracle",
+        "check --tb 3 --ruleset RULESET",
+        "check --tb 3 --from-json TABLE",
+        "check --ruleset RULESET --from-json TABLE",
+        "check --from-json TABLE --with-oracle",
+        "check --from-json TABLE --x-max 5",
+        "check --ruleset RULESET --with-oracle",
+        "check --ruleset RULESET --x-max 5",
     ],
 )
-def test_out_of_range_arguments_exit_usage(capsys, command):
-    code, out, err = run_cli(capsys, *command.split())
+def test_out_of_range_arguments_exit_usage(tmp_path, capsys, command):
+    table, ruleset = tmp_path / "table.json", tmp_path / "zugzwang.game"
+    table.write_text(_table_text())
+    ruleset.write_text(ZUGZWANG_RULESET)
+    argv = command.replace("TABLE", str(table)).replace("RULESET", str(ruleset))
+    code, out, err = run_cli(capsys, *argv.split())
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

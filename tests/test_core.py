@@ -5,6 +5,7 @@ from bcs.core import (
     BidPair,
     BidWinner,
     BudgetOutOfRange,
+    GameAlreadyOver,
     HeapNegative,
     InfeasibleBid,
     OutcomeTable,
@@ -72,6 +73,8 @@ def test_classify_bid_feasibility():
         classify_bid(pos, 0, 5)
     with pytest.raises(InfeasibleBid):
         classify_bid(pos, -1, 0)
+    with pytest.raises(GameAlreadyOver):
+        classify_bid(make_position(5, 0, 1, Side.LEFT), 0, 0)
 
 
 @st.composite
@@ -90,6 +93,7 @@ def test_bid_resolution_conserves_budget_and_marker(case):
     pos, l, r = case
     bid, nxt = classify_bid(pos, l, r)
     assert nxt.left_budget + nxt.right_budget == pos.tb
+    assert nxt.heap == pos.heap - 1
     assert 0 <= nxt.left_budget <= pos.tb
     assert (nxt.marker != pos.marker) == bid.winner.is_tie
     if bid.winner.side is Side.LEFT:

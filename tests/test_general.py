@@ -157,6 +157,70 @@ def test_restricted_bids_unopposed_turns():
     assert general_maximin(rs, "a", 0, Side.LEFT) == -1
 
 
+@st.composite
+def rulesets_with_a_broke_player(draw):
+    """Small DAGs whose bid sets lack 0, so a poor enough player cannot bid."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    tb = draw(st.integers(min_value=1, max_value=4))
+    nodes = tuple(range(n))
+    moves = {Side.LEFT: {i: set() for i in nodes}, Side.RIGHT: {i: set() for i in nodes}}
+    weights: dict[Side, dict[tuple[int, int], int]] = {Side.LEFT: {}, Side.RIGHT: {}}
+    for i in nodes:
+        for j in range(i + 1, n):
+            for side in (Side.LEFT, Side.RIGHT):
+                if draw(st.booleans()):
+                    moves[side][i].add(j)
+                    weights[side][(i, j)] = draw(st.integers(min_value=-2, max_value=2))
+    bids = draw(st.frozensets(st.integers(min_value=1, max_value=tb), min_size=1))
+    penalties = {i: draw(st.integers(min_value=-2, max_value=2)) for i in nodes}
+    return GeneralRuleset(
+        positions=nodes,
+        left_moves=moves[Side.LEFT],
+        right_moves=moves[Side.RIGHT],
+        left_weights=weights[Side.LEFT],
+        right_weights=weights[Side.RIGHT],
+        penalties=penalties,
+        tb=tb,
+        bid_set=bids,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(rulesets_with_a_broke_player())
+def test_unopposed_turn_is_the_movers_best_option(rs):
+    """Where only one player can afford a bid, that player pays some allowed
+    bid and moves, or takes the penalty when stuck; the marker stays put."""
+    checked = 0
+    for x in rs.positions:
+        if rs.is_fully_terminal(x):
+            continue
+        for p in range(rs.tb + 1):
+            can_bid = {
+                Side.LEFT: [b for b in rs.bid_set if b <= p],
+                Side.RIGHT: [b for b in rs.bid_set if b <= rs.tb - p],
+            }
+            if bool(can_bid[Side.LEFT]) == bool(can_bid[Side.RIGHT]):
+                continue
+            mover = Side.LEFT if can_bid[Side.LEFT] else Side.RIGHT
+            for marker in (Side.LEFT, Side.RIGHT):
+                options = [
+                    general_maximin(rs, y, p - b if mover is Side.LEFT else p + b, marker)
+                    + rs.weight(mover, x, y)
+                    for b in can_bid[mover]
+                    for y in rs.moves(mover, x)
+                ]
+                if not options:
+                    expected = rs.penalty(x)
+                elif mover is Side.LEFT:
+                    expected = max(options)
+                else:
+                    expected = min(options)
+                assert general_maximin(rs, x, p, marker) == expected
+                checked += 1
+    # p = 0 leaves Left broke while Right, holding all tb >= min(bids), can bid
+    assert checked > 0 or all(rs.is_fully_terminal(x) for x in rs.positions)
+
+
 def test_invalid_when_nobody_can_bid():
     rs = parse_ruleset(
         "node a\nnode b terminal 0\nedge L a b 1\nedge R a b -1\ntb 2\nbids 2\n"
