@@ -278,15 +278,9 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
     return EXIT_OK if report.update_rule_holds else EXIT_CHECK_FAILED
 
 
-_KINDS = {
-    "tie": analysis.BidGraphKind.TIE,
-    "holder-win": analysis.BidGraphKind.HOLDER_WIN,
-    "opponent-win": analysis.BidGraphKind.OPPONENT_WIN,
-}
-
-
 def cmd_bids(args: argparse.Namespace) -> int:
-    graph = analysis.bid_graph(args.tb, _KINDS[args.kind], args.bid, args.reduced)
+    kind = analysis.BidGraphKind(args.kind)
+    graph = analysis.bid_graph(args.tb, kind, args.bid, args.reduced)
     if args.format == "json":
         _emit_json(analysis.bid_graph_to_json_dict(graph), args.out)
     else:
@@ -399,7 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bids = sub.add_parser("bids", help="export a bid graph")
     p_bids.add_argument("--tb", type=int, required=True)
-    p_bids.add_argument("--kind", choices=sorted(_KINDS), required=True)
+    p_bids.add_argument(
+        "--kind", choices=sorted(k.value for k in analysis.BidGraphKind), required=True
+    )
     p_bids.add_argument("--bid", type=int, required=True)
     p_bids.add_argument("--reduced", action="store_true")
     _output_args(p_bids, "dot", "json")

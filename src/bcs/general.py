@@ -1,10 +1,9 @@
 """Equilibrium evaluation on arbitrary finite acyclic rulesets.
 
-A ruleset gives each player their own move map over a finite acyclic
-position graph, a signed integer weight per move edge (the amount the move
-adds to the running score, so Right's edges normally carry non-positive
-weights), a penalty for auction winners who cannot move, a total budget,
-and a set of allowed bids.
+A ruleset gives each player their own weighted edges over a finite acyclic
+position graph (a move and the signed amount it adds to the running score,
+so Right's edges normally carry non-positive weights), a penalty for
+auction winners who cannot move, a total budget, and a set of allowed bids.
 
 Evaluation order matters in principle, so both orders are implemented:
 ``general_maximin`` has Left declare a bid-move pair against Right's best
@@ -16,9 +15,13 @@ satisfies the three uniqueness properties checked by
 * (B) marker monotonicity: holding the marker never hurts;
 * (C) marker worth: the marker is never worth more than one dollar.
 
+Values are filled bottom-up, successors first, in the topological order
+found when the ruleset is built, so no depth limit caps the length of play.
 If a player cannot afford any allowed bid, the other player acts unopposed
-(paying some allowed bid, marker untouched); if neither can bid at a
-position where play should continue, the ruleset is invalid.
+(paying some allowed bid, marker untouched).  A state where neither can bid
+at a position where play should continue is invalid and raises
+:class:`InvalidRuleset` when read.  Only a start state can be invalid: every
+transfer leaves its receiver at least the smallest allowed bid.
 """
 
 from __future__ import annotations
@@ -29,7 +32,9 @@ from typing import Hashable, Mapping
 from .core import GameError, Side
 
 Node = Hashable
-Edge = tuple[Node, Node]
+# Per node and marker holder, the value at each Left budget; None where
+# neither player can bid.
+_Table = dict[Node, dict[Side, list[int | None]]]
 
 
 class InvalidRuleset(GameError):
@@ -48,32 +53,24 @@ class RulesetParseError(GameError):
 class GeneralRuleset:
     """A finite acyclic two-player bidding ruleset.
 
-    ``left_weights`` / ``right_weights`` are signed score contributions per
-    move edge.  ``penalties`` applies to positions where an auction winner
-    is stuck without a move; unmentioned positions default to 0.
+    ``left_edges`` / ``right_edges`` map a position to that player's moves
+    out of it, each with its signed score contribution.  ``penalties``
+    applies to positions where an auction winner is stuck without a move;
+    unmentioned positions default to 0.
     """
 
     positions: tuple[Node, ...]
-    left_moves: Mapping[Node, frozenset[Node]]
-    right_moves: Mapping[Node, frozenset[Node]]
-    left_weights: Mapping[Edge, int]
-    right_weights: Mapping[Edge, int]
+    left_edges: Mapping[Node, Mapping[Node, int]]
+    right_edges: Mapping[Node, Mapping[Node, int]]
     penalties: Mapping[Node, int]
     tb: int
     bid_set: frozenset[int]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "positions", tuple(self.positions))
-        object.__setattr__(
-            self,
-            "left_moves",
-            {x: frozenset(ys) for x, ys in self.left_moves.items()},
-        )
-        object.__setattr__(
-            self,
-            "right_moves",
-            {x: frozenset(ys) for x, ys in self.right_moves.items()},
-        )
+        for name in ("left_edges", "right_edges"):
+            edges = {x: dict(ys) for x, ys in getattr(self, name).items()}
+            object.__setattr__(self, name, edges)
         object.__setattr__(self, "bid_set", frozenset(self.bid_set))
         if self.tb < 0:
             raise ValueError(f"total budget must be >= 0, got {self.tb}")
@@ -82,121 +79,112 @@ class GeneralRuleset:
         if not all(0 <= b <= self.tb for b in self.bid_set):
             raise InvalidRuleset(f"bids {sorted(self.bid_set)} outside 0..{self.tb}")
         known = set(self.positions)
-        for x, ys in list(self.left_moves.items()) + list(self.right_moves.items()):
+        for x, ys in list(self.left_edges.items()) + list(self.right_edges.items()):
             if x not in known or not set(ys) <= known:
                 raise ValueError(f"move {x!r} -> {set(ys)!r} references unknown positions")
-        self._check_acyclic()
+        object.__setattr__(self, "_order", self._topological_order())
 
-    def _check_acyclic(self) -> None:
-        succ = {x: set() for x in self.positions}
-        for x in self.positions:
-            succ[x] |= self.left_moves.get(x, frozenset())
-            succ[x] |= self.right_moves.get(x, frozenset())
+    def _topological_order(self) -> tuple[Node, ...]:
+        """Positions with every move's source before its target."""
+        succ = {x: set(self.edges(Side.LEFT, x)) | set(self.edges(Side.RIGHT, x))
+                for x in self.positions}
         indeg = {x: 0 for x in self.positions}
         for x in self.positions:
             for y in succ[x]:
                 indeg[y] += 1
         queue = [x for x in self.positions if indeg[x] == 0]
-        seen = 0
+        order = []
         while queue:
             x = queue.pop()
-            seen += 1
+            order.append(x)
             for y in succ[x]:
                 indeg[y] -= 1
                 if indeg[y] == 0:
                     queue.append(y)
-        if seen != len(self.positions):
+        if len(order) != len(self.positions):
             raise CyclicRuleset("move graph contains a cycle")
+        return tuple(order)
 
-    def moves(self, side: Side, x: Node) -> frozenset[Node]:
-        table = self.left_moves if side is Side.LEFT else self.right_moves
-        return table.get(x, frozenset())
-
-    def weight(self, side: Side, x: Node, y: Node) -> int:
-        table = self.left_weights if side is Side.LEFT else self.right_weights
-        return table[(x, y)]
+    def edges(self, side: Side, x: Node) -> Mapping[Node, int]:
+        """``side``'s moves out of ``x``, each with its weight."""
+        table = self.left_edges if side is Side.LEFT else self.right_edges
+        return table.get(x, {})
 
     def penalty(self, x: Node) -> int:
         return self.penalties.get(x, 0)
 
-    def is_fully_terminal(self, x: Node) -> bool:
-        return not self.moves(Side.LEFT, x) and not self.moves(Side.RIGHT, x)
 
-    @property
-    def is_symmetric(self) -> bool:
-        """Same move options for both players, with opposite edge weights."""
-        if self.left_moves != self.right_moves:
-            return False
-        return all(
-            self.right_weights.get(edge) == -w for edge, w in self.left_weights.items()
+def _fill(rs: GeneralRuleset, minimax: bool, start: Node | None = None) -> _Table:
+    """Values of every state at ``start`` and below it, or at every position
+    when ``start`` is None, filled in reverse topological order."""
+    order = rs._order
+    if start is not None:
+        below = {start}
+        for x in order[order.index(start):]:
+            if x in below:
+                below.update(rs.edges(Side.LEFT, x), rs.edges(Side.RIGHT, x))
+        order = [x for x in order if x in below]
+    table: _Table = {}
+    for x in reversed(order):
+        table[x] = {
+            marker: [_auction(rs, table, x, p, marker, minimax) for p in range(rs.tb + 1)]
+            for marker in Side
+        }
+    return table
+
+
+def _auction(
+    rs: GeneralRuleset, table: _Table, x: Node, p: int, marker: Side, minimax: bool
+) -> int | None:
+    """One auction at ``x`` with Left budget ``p``, read off the successors'
+    values; None when neither player can bid."""
+    left, right = rs.edges(Side.LEFT, x), rs.edges(Side.RIGHT, x)
+    if not left and not right:
+        return rs.penalty(x)
+    stuck = [(None, 0)]
+
+    def outcome(y: Node | None, w: int, budget: int, after: Side) -> int:
+        return rs.penalty(x) if y is None else table[y][after][budget] + w
+
+    # A declaration is (bid, value if it wins outright, value if it wins a
+    # tie): the winner pays and moves, or takes the penalty when stuck, and a
+    # tie hands the marker to the loser.
+    lefts = [
+        (l, outcome(y, w, p - l, marker), outcome(y, w, p - l, Side.RIGHT))
+        for l in rs.bid_set if l <= p
+        for y, w in (left.items() or stuck)
+    ]
+    rights = [
+        (r, outcome(z, w, p + r, marker), outcome(z, w, p + r, Side.LEFT))
+        for r in rs.bid_set if r <= rs.tb - p
+        for z, w in (right.items() or stuck)
+    ]
+    if not lefts and not rights:
+        return None
+    # A player who cannot afford any allowed bid passes: bid -1 loses every
+    # auction, so the other player acts unopposed.
+    passing = [(-1, 0, 0)]
+    lefts, rights = lefts or passing, rights or passing
+
+    def payoff(ld: tuple[int, int, int], rd: tuple[int, int, int]) -> int:
+        (l, l_win, l_tie), (r, r_win, r_tie) = ld, rd
+        if l != r:
+            return l_win if l > r else r_win
+        return l_tie if marker is Side.LEFT else r_tie
+
+    if minimax:
+        return min(max(payoff(ld, rd) for ld in lefts) for rd in rights)
+    return max(min(payoff(ld, rd) for rd in rights) for ld in lefts)
+
+
+def _read(rs: GeneralRuleset, table: _Table, x: Node, p: int, marker: Side) -> int:
+    value = table[x][marker][p]
+    if value is None:
+        raise InvalidRuleset(
+            f"no player can bid at {x!r} with budgets {p}/{rs.tb - p} and bids "
+            f"{sorted(rs.bid_set)}"
         )
-
-
-class _Evaluator:
-    """Memoized two-sided value recursion over (node, left budget, marker)."""
-
-    def __init__(self, ruleset: GeneralRuleset, minimax: bool):
-        self.rs = ruleset
-        self.minimax = minimax
-        self.memo: dict[tuple[Node, int, Side], int] = {}
-
-    def value(self, x: Node, p: int, marker: Side) -> int:
-        key = (x, p, marker)
-        if key in self.memo:
-            return self.memo[key]
-        result = self._compute(x, p, marker)
-        self.memo[key] = result
-        return result
-
-    def _compute(self, x: Node, p: int, marker: Side) -> int:
-        rs = self.rs
-        if rs.is_fully_terminal(x):
-            return rs.penalty(x)
-        q = rs.tb - p
-        left_moves = rs.moves(Side.LEFT, x) or [None]
-        right_moves = rs.moves(Side.RIGHT, x) or [None]
-        # A player who cannot afford any allowed bid passes: bid -1 loses
-        # every auction, so the other player acts unopposed.
-        passing = [(-1, None)]
-        left_decls = [(l, y) for l in rs.bid_set if l <= p for y in left_moves] or passing
-        right_decls = [(r, z) for r in rs.bid_set if r <= q for z in right_moves] or passing
-        if left_decls == right_decls == passing:
-            raise InvalidRuleset(
-                f"no player can bid at {x!r} with budgets {p}/{q} and bids "
-                f"{sorted(rs.bid_set)}"
-            )
-        if self.minimax:
-            return min(
-                max(self._payoff(x, p, marker, l, y, r, z) for l, y in left_decls)
-                for r, z in right_decls
-            )
-        return max(
-            min(self._payoff(x, p, marker, l, y, r, z) for r, z in right_decls)
-            for l, y in left_decls
-        )
-
-    def _payoff(
-        self,
-        x: Node,
-        p: int,
-        marker: Side,
-        l: int,
-        y: Node | None,
-        r: int,
-        z: Node | None,
-    ) -> int:
-        rs = self.rs
-        left_wins = l > r or (l == r and marker is Side.LEFT)
-        tie = l == r
-        if left_wins:
-            if y is None:
-                return rs.penalty(x)
-            nm = Side.RIGHT if tie else marker
-            return self.value(y, p - l, nm) + rs.weight(Side.LEFT, x, y)
-        if z is None:
-            return rs.penalty(x)
-        nm = Side.LEFT if tie else marker
-        return self.value(z, p + r, nm) + rs.weight(Side.RIGHT, x, z)
+    return value
 
 
 def general_maximin(
@@ -204,7 +192,7 @@ def general_maximin(
 ) -> int:
     """Value when the marker side is as given and Left declares first."""
     _check_state(ruleset, node, left_budget)
-    return _Evaluator(ruleset, minimax=False).value(node, left_budget, marker)
+    return _read(ruleset, _fill(ruleset, False, node), node, left_budget, marker)
 
 
 def general_minimax(
@@ -212,7 +200,7 @@ def general_minimax(
 ) -> int:
     """Reverse declaration order: Right declares, Left best-responds."""
     _check_state(ruleset, node, left_budget)
-    return _Evaluator(ruleset, minimax=True).value(node, left_budget, marker)
+    return _read(ruleset, _fill(ruleset, True, node), node, left_budget, marker)
 
 
 def _check_state(ruleset: GeneralRuleset, node: Node, left_budget: int) -> None:
@@ -248,14 +236,14 @@ def check_property_U(ruleset: GeneralRuleset) -> UReport:
     the first found scanning positions in declaration order and budgets
     from the richest Left downwards.
     """
-    ev = _Evaluator(ruleset, minimax=False)
+    table = _fill(ruleset, minimax=False)
     tb = ruleset.tb
 
     def hat(x: Node, p: int) -> int:
-        return ev.value(x, p, Side.LEFT)
+        return _read(ruleset, table, x, p, Side.LEFT)
 
     def plain(x: Node, p: int) -> int:
-        return ev.value(x, p, Side.RIGHT)
+        return _read(ruleset, table, x, p, Side.RIGHT)
 
     violations = []
 
@@ -293,69 +281,16 @@ def check_property_U(ruleset: GeneralRuleset) -> UReport:
     return UReport(holds=not violations, violations=tuple(violations))
 
 
-def reduced_symmetric_value(ruleset: GeneralRuleset, node: Node, left_budget: int) -> int:
-    """Marker-Left value via the reduced recursion (ties and Right wins only).
-
-    Valid on symmetric rulesets with zero penalties and 0 in the bid set,
-    where Left strict wins are always weakly dominated by a smaller tie.
-    """
-    if not ruleset.is_symmetric:
-        raise InvalidRuleset("reduced evaluation requires a symmetric ruleset")
-    if 0 not in ruleset.bid_set:
-        raise InvalidRuleset("reduced evaluation requires 0 to be an allowed bid")
-    if any(ruleset.penalty(x) != 0 for x in ruleset.positions):
-        raise InvalidRuleset("reduced evaluation requires zero penalties")
-    _check_state(ruleset, node, left_budget)
-    tb = ruleset.tb
-    memo: dict[tuple[Node, int], int] = {}
-
-    def red(x: Node, p: int) -> int:
-        if ruleset.is_fully_terminal(x):
-            return 0
-        key = (x, p)
-        if key in memo:
-            return memo[key]
-        q = tb - p
-        candidates = []
-        for l in (b for b in ruleset.bid_set if b <= p):
-            overbids = [
-                red(z, p + r) - ruleset.weight(Side.LEFT, x, z)
-                for r in ruleset.bid_set
-                if l < r <= q
-                for z in ruleset.moves(Side.LEFT, x)
-            ]
-            for y in ruleset.moves(Side.LEFT, x):
-                options = list(overbids)
-                if l <= q:
-                    options.append(ruleset.weight(Side.LEFT, x, y) - red(y, q + l))
-                if options:
-                    candidates.append(min(options))
-        if not candidates:
-            raise InvalidRuleset(f"no reduced bid available at {x!r} with budget {p}")
-        result = max(candidates)
-        memo[key] = result
-        return result
-
-    return red(node, left_budget)
-
-
 def make_unitary_ruleset(tb: int, x_max: int) -> GeneralRuleset:
     """Encode the unit-removal heap game on heap sizes ``0..x_max``.
 
     Both players may remove one pebble; a Left removal scores +1 and a
     Right removal -1, expressed as signed edge weights.
     """
-    nodes = tuple(range(x_max + 1))
-    moves = {x: frozenset({x - 1}) for x in range(1, x_max + 1)}
-    moves[0] = frozenset()
-    left_w = {(x, x - 1): 1 for x in range(1, x_max + 1)}
-    right_w = {(x, x - 1): -1 for x in range(1, x_max + 1)}
     return GeneralRuleset(
-        positions=nodes,
-        left_moves=moves,
-        right_moves=dict(moves),
-        left_weights=left_w,
-        right_weights=right_w,
+        positions=tuple(range(x_max + 1)),
+        left_edges={x: {x - 1: 1} for x in range(1, x_max + 1)},
+        right_edges={x: {x - 1: -1} for x in range(1, x_max + 1)},
         penalties={0: 0},
         tb=tb,
         bid_set=frozenset(range(tb + 1)),
@@ -373,10 +308,7 @@ def parse_ruleset(text: str) -> GeneralRuleset:
         bids all | bids B1,B2,...
     """
     positions: list[str] = []
-    left_moves: dict[str, set[str]] = {}
-    right_moves: dict[str, set[str]] = {}
-    left_weights: dict[Edge, int] = {}
-    right_weights: dict[Edge, int] = {}
+    edges: dict[str, dict[str, dict[str, int]]] = {"L": {}, "R": {}}
     penalties: dict[str, int] = {}
     tb: int | None = None
     bids_text: str | None = None
@@ -391,22 +323,17 @@ def parse_ruleset(text: str) -> GeneralRuleset:
             if kind == "node":
                 name = parts[1]
                 positions.append(name)
-                left_moves.setdefault(name, set())
-                right_moves.setdefault(name, set())
+                for side_edges in edges.values():
+                    side_edges.setdefault(name, {})
                 if len(parts) > 2:
                     if parts[2].lower() != "terminal" or len(parts) != 4:
                         raise ValueError("expected 'node NAME [terminal PENALTY]'")
                     penalties[name] = int(parts[3])
             elif kind == "edge":
                 side, src, dst, weight = parts[1], parts[2], parts[3], int(parts[4])
-                if side.upper() == "L":
-                    left_moves.setdefault(src, set()).add(dst)
-                    left_weights[(src, dst)] = weight
-                elif side.upper() == "R":
-                    right_moves.setdefault(src, set()).add(dst)
-                    right_weights[(src, dst)] = weight
-                else:
+                if side.upper() not in edges:
                     raise ValueError(f"edge side must be L or R, got {side!r}")
+                edges[side.upper()].setdefault(src, {})[dst] = weight
             elif kind == "tb":
                 tb = int(parts[1])
             elif kind == "bids":
@@ -430,10 +357,8 @@ def parse_ruleset(text: str) -> GeneralRuleset:
 
     return GeneralRuleset(
         positions=tuple(positions),
-        left_moves={x: frozenset(ys) for x, ys in left_moves.items()},
-        right_moves={x: frozenset(ys) for x, ys in right_moves.items()},
-        left_weights=left_weights,
-        right_weights=right_weights,
+        left_edges=edges["L"],
+        right_edges=edges["R"],
         penalties=penalties,
         tb=tb,
         bid_set=bid_set,

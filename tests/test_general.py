@@ -12,7 +12,6 @@ from bcs.general import (
     general_minimax,
     make_unitary_ruleset,
     parse_ruleset,
-    reduced_symmetric_value,
 )
 from bcs.solver import solve
 
@@ -76,72 +75,45 @@ def test_unitary_is_in_u():
         assert check_property_U(make_unitary_ruleset(tb, 20)).holds
 
 
-def test_minimax_equals_maximin_when_u_holds():
-    rs = make_unitary_ruleset(4, 8)
-    for x in range(9):
-        for p in range(5):
-            for marker in (Side.LEFT, Side.RIGHT):
-                assert general_maximin(rs, x, p, marker) == general_minimax(
-                    rs, x, p, marker
-                )
-
-
 def _two_step_subtraction(tb: int, x_max: int) -> GeneralRuleset:
     """Symmetric removal game where one or two pebbles may be taken."""
-    moves = {
-        x: frozenset(y for y in (x - 1, x - 2) if y >= 0) for x in range(x_max + 1)
-    }
-    left_w = {(x, y): x - y for x in range(x_max + 1) for y in moves[x]}
-    right_w = {edge: -w for edge, w in left_w.items()}
+    left = {x: {y: x - y for y in (x - 1, x - 2) if y >= 0} for x in range(x_max + 1)}
     return GeneralRuleset(
         positions=tuple(range(x_max + 1)),
-        left_moves=moves,
-        right_moves=dict(moves),
-        left_weights=left_w,
-        right_weights=right_w,
+        left_edges=left,
+        right_edges={x: {y: -w for y, w in ys.items()} for x, ys in left.items()},
         penalties={},
         tb=tb,
         bid_set=frozenset(range(tb + 1)),
     )
 
 
-def test_two_step_subtraction_reduction_agrees():
-    rs = _two_step_subtraction(3, 7)
+def test_minimax_equals_maximin_when_u_holds():
+    for rs in (make_unitary_ruleset(4, 8), _two_step_subtraction(3, 7)):
+        assert check_property_U(rs).holds
+        for x in rs.positions:
+            for p in range(rs.tb + 1):
+                for marker in (Side.LEFT, Side.RIGHT):
+                    assert general_maximin(rs, x, p, marker) == general_minimax(
+                        rs, x, p, marker
+                    )
+
+
+def test_deep_chain_has_no_depth_limit():
+    rs = make_unitary_ruleset(0, 3000)
+    assert general_maximin(rs, 3000, 0, Side.LEFT) == 0
     assert check_property_U(rs).holds
-    for x in range(8):
-        for p in range(4):
-            assert reduced_symmetric_value(rs, x, p) == general_maximin(
-                rs, x, p, Side.LEFT
-            )
-
-
-def test_reduced_agrees_on_unitary():
-    rs = make_unitary_ruleset(5, 6)
-    table = solve(5, 6)
-    for x in range(7):
-        for p in range(6):
-            assert reduced_symmetric_value(rs, x, p) == table.row(x)[p]
-
-
-def test_reduced_requires_symmetry(zugzwang):
-    with pytest.raises(InvalidRuleset):
-        reduced_symmetric_value(zugzwang, "x1", 1)
 
 
 def test_tb0_is_alternating_play():
     rs = _two_step_subtraction(0, 8)
 
     def alternating(x, mover):
-        moves = rs.moves(mover, x)
-        if not moves:
+        edges = rs.edges(mover, x)
+        if not edges:
             return rs.penalty(x)
-        if mover is Side.LEFT:
-            return max(
-                alternating(y, Side.RIGHT) + rs.weight(Side.LEFT, x, y) for y in moves
-            )
-        return min(
-            alternating(y, Side.LEFT) + rs.weight(Side.RIGHT, x, y) for y in moves
-        )
+        best = max if mover is Side.LEFT else min
+        return best(alternating(y, mover.opponent) + w for y, w in edges.items())
 
     for x in range(9):
         assert general_maximin(rs, x, 0, Side.LEFT) == alternating(x, Side.LEFT)
@@ -158,67 +130,83 @@ def test_restricted_bids_unopposed_turns():
 
 
 @st.composite
-def rulesets_with_a_broke_player(draw):
-    """Small DAGs whose bid sets lack 0, so a poor enough player cannot bid."""
+def small_rulesets(draw):
+    """Small DAGs with bid sets drawn with and without 0, so some states are
+    contested, some unopposed (a poor player cannot bid) and some invalid."""
     n = draw(st.integers(min_value=2, max_value=4))
-    tb = draw(st.integers(min_value=1, max_value=4))
+    tb = draw(st.integers(min_value=0, max_value=4))
     nodes = tuple(range(n))
-    moves = {Side.LEFT: {i: set() for i in nodes}, Side.RIGHT: {i: set() for i in nodes}}
-    weights: dict[Side, dict[tuple[int, int], int]] = {Side.LEFT: {}, Side.RIGHT: {}}
+    edges = {Side.LEFT: {}, Side.RIGHT: {}}
     for i in nodes:
         for j in range(i + 1, n):
             for side in (Side.LEFT, Side.RIGHT):
                 if draw(st.booleans()):
-                    moves[side][i].add(j)
-                    weights[side][(i, j)] = draw(st.integers(min_value=-2, max_value=2))
-    bids = draw(st.frozensets(st.integers(min_value=1, max_value=tb), min_size=1))
-    penalties = {i: draw(st.integers(min_value=-2, max_value=2)) for i in nodes}
+                    edges[side].setdefault(i, {})[j] = draw(st.integers(-2, 2))
     return GeneralRuleset(
         positions=nodes,
-        left_moves=moves[Side.LEFT],
-        right_moves=moves[Side.RIGHT],
-        left_weights=weights[Side.LEFT],
-        right_weights=weights[Side.RIGHT],
-        penalties=penalties,
+        left_edges=edges[Side.LEFT],
+        right_edges=edges[Side.RIGHT],
+        penalties={i: draw(st.integers(min_value=-2, max_value=2)) for i in nodes},
         tb=tb,
-        bid_set=bids,
+        bid_set=draw(st.frozensets(st.integers(min_value=0, max_value=tb), min_size=1)),
     )
 
 
+def _one_auction(rs, value, x, p, marker, minimax):
+    """The literal max-min (or min-max) over both players' (bid, move)
+    declarations at one state, given ``value`` at the successors."""
+
+    def declarations(side, budget):
+        moves = list(rs.edges(side, x)) or [None]  # None: stuck, takes the penalty
+        return [(b, y) for b in rs.bid_set if b <= budget for y in moves] or [(-1, None)]
+
+    def payoff(l, y, r, z):
+        left_wins = l > r or (l == r and marker is Side.LEFT)
+        winner, bid, move = (Side.LEFT, l, y) if left_wins else (Side.RIGHT, r, z)
+        if move is None:
+            return rs.penalty(x)
+        after = marker.opponent if l == r else marker  # a tie passes the marker
+        budget = p - bid if winner is Side.LEFT else p + bid
+        return value(move, budget, after) + rs.edges(winner, x)[move]
+
+    lefts, rights = declarations(Side.LEFT, p), declarations(Side.RIGHT, rs.tb - p)
+    if minimax:
+        return min(max(payoff(l, y, r, z) for l, y in lefts) for r, z in rights)
+    return max(min(payoff(l, y, r, z) for r, z in rights) for l, y in lefts)
+
+
 @settings(max_examples=150, deadline=None)
-@given(rulesets_with_a_broke_player())
+@given(small_rulesets())
 def test_unopposed_turn_is_the_movers_best_option(rs):
-    """Where only one player can afford a bid, that player pays some allowed
-    bid and moves, or takes the penalty when stuck; the marker stays put."""
-    checked = 0
-    for x in rs.positions:
-        if rs.is_fully_terminal(x):
-            continue
-        for p in range(rs.tb + 1):
-            can_bid = {
-                Side.LEFT: [b for b in rs.bid_set if b <= p],
-                Side.RIGHT: [b for b in rs.bid_set if b <= rs.tb - p],
-            }
-            if bool(can_bid[Side.LEFT]) == bool(can_bid[Side.RIGHT]):
+    """Every turn is one auction: at each non-terminal state, contested or
+    unopposed, the value is the literal max-min (min-max) over the (bid,
+    move) declarations, read off the values at the successors.  An unopposed
+    mover pays some allowed bid and moves, or takes the penalty when stuck,
+    and the marker stays put; a state where nobody can bid is invalid."""
+    checked = {"contested": 0, "unopposed": 0}
+    for evaluate, minimax in ((general_maximin, False), (general_minimax, True)):
+        cache = {}
+
+        def value(y, budget, after):
+            if (y, budget, after) not in cache:
+                cache[(y, budget, after)] = evaluate(rs, y, budget, after)
+            return cache[(y, budget, after)]
+
+        for x in rs.positions:
+            if not rs.edges(Side.LEFT, x) and not rs.edges(Side.RIGHT, x):
                 continue
-            mover = Side.LEFT if can_bid[Side.LEFT] else Side.RIGHT
-            for marker in (Side.LEFT, Side.RIGHT):
-                options = [
-                    general_maximin(rs, y, p - b if mover is Side.LEFT else p + b, marker)
-                    + rs.weight(mover, x, y)
-                    for b in can_bid[mover]
-                    for y in rs.moves(mover, x)
-                ]
-                if not options:
-                    expected = rs.penalty(x)
-                elif mover is Side.LEFT:
-                    expected = max(options)
-                else:
-                    expected = min(options)
-                assert general_maximin(rs, x, p, marker) == expected
-                checked += 1
-    # p = 0 leaves Left broke while Right, holding all tb >= min(bids), can bid
-    assert checked > 0 or all(rs.is_fully_terminal(x) for x in rs.positions)
+            for p in range(rs.tb + 1):
+                bidders = (min(rs.bid_set) <= p) + (min(rs.bid_set) <= rs.tb - p)
+                for marker in (Side.LEFT, Side.RIGHT):
+                    if not bidders:
+                        with pytest.raises(InvalidRuleset):
+                            evaluate(rs, x, p, marker)
+                        continue
+                    expected = _one_auction(rs, value, x, p, marker, minimax)
+                    assert evaluate(rs, x, p, marker) == expected
+                    checked["contested" if bidders == 2 else "unopposed"] += 1
+    # p = 0 leaves Right all tb >= min(bids), so some state can be checked
+    assert sum(checked.values()) > 0 or not (rs.left_edges or rs.right_edges)
 
 
 def test_invalid_when_nobody_can_bid():
@@ -262,26 +250,20 @@ def sign_constrained_rulesets(draw):
     n = draw(st.integers(min_value=2, max_value=4))
     tb = draw(st.integers(min_value=0, max_value=3))
     nodes = tuple(range(n))
-    left_moves: dict[int, set[int]] = {i: set() for i in nodes}
-    right_moves: dict[int, set[int]] = {i: set() for i in nodes}
-    left_w: dict[tuple[int, int], int] = {}
-    right_w: dict[tuple[int, int], int] = {}
+    left: dict[int, dict[int, int]] = {}
+    right: dict[int, dict[int, int]] = {}
     for i in nodes:
         for j in nodes:
             if j <= i:
                 continue
             if draw(st.booleans()):
-                left_moves[i].add(j)
-                left_w[(i, j)] = draw(st.integers(min_value=0, max_value=2))
+                left.setdefault(i, {})[j] = draw(st.integers(min_value=0, max_value=2))
             if draw(st.booleans()):
-                right_moves[i].add(j)
-                right_w[(i, j)] = draw(st.integers(min_value=-2, max_value=0))
+                right.setdefault(i, {})[j] = draw(st.integers(min_value=-2, max_value=0))
     return GeneralRuleset(
         positions=nodes,
-        left_moves={i: frozenset(v) for i, v in left_moves.items()},
-        right_moves={i: frozenset(v) for i, v in right_moves.items()},
-        left_weights=left_w,
-        right_weights=right_w,
+        left_edges=left,
+        right_edges=right,
         penalties={},
         tb=tb,
         bid_set=frozenset(range(tb + 1)),
@@ -314,10 +296,8 @@ def test_marker_zugzwang_despite_favorable_signs():
     """
     rs = GeneralRuleset(
         positions=("a", "b", "c"),
-        left_moves={"a": frozenset({"b"}), "b": frozenset(), "c": frozenset()},
-        right_moves={"a": frozenset(), "b": frozenset({"c"}), "c": frozenset()},
-        left_weights={("a", "b"): 0},
-        right_weights={("b", "c"): -1},
+        left_edges={"a": {"b": 0}},
+        right_edges={"b": {"c": -1}},
         penalties={},
         tb=0,
         bid_set=frozenset({0}),
