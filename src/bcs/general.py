@@ -81,7 +81,8 @@ class GeneralRuleset:
         known = set(self.positions)
         for x, ys in list(self.left_edges.items()) + list(self.right_edges.items()):
             if x not in known or not set(ys) <= known:
-                raise ValueError(f"move {x!r} -> {set(ys)!r} references unknown positions")
+                targets = ", ".join(sorted(map(repr, ys)))
+                raise ValueError(f"move {x!r} -> [{targets}] references unknown positions")
         object.__setattr__(self, "_order", self._topological_order())
 
     def _topological_order(self) -> tuple[Node, ...]:

@@ -8,23 +8,30 @@ equilibrium bid pairs, and independently by :mod:`bcs.oracle`, which replays
 the full three-branch recursion over the complete bid matrix as a
 cross-check.
 
-Right's overbids against a Left bid land on a contiguous run of budgets
-that reaches the end of the previous row, so the best overbid is a suffix
-minimum of that row.  The suffix minima are computed once per row, and a
-row then costs O(tb^2): one scan over Left's bids per budget split.  The
-suffix form uses no property of the solved rows and is exact for any
-integer row.
+The row kernel leans on budget monotonicity (property A): every solved row
+is nondecreasing in Left's budget.  On such a row Right's best overbid
+against a Left bid is the smallest one, and its value rises with the bid
+while the tie's value falls, so Left's best bid sits where the two cross and
+bisection finds it.  A row then costs O(tb log tb), plus an O(tb) scan that
+checks the row it starts from; a row that is not nondecreasing raises
+:class:`RowNotMonotone` (the CLI exits 1) and is never trusted.
+
+The equilibrium bid sets and the domination check need every Left bid, not
+just the best one.  They read Right's best overbid as a suffix minimum of
+the previous row, which uses no property of the solved rows, so they cost
+O(tb^2) per cell and stay exact on any integer row.
 
 Only marker-Left values are stored.  The value of a position where Right
 holds the marker is the zero-sum flip ``-row[q]``.  Row ``x`` depends only
-on row ``x - 1``; :func:`solve` is the one loop that stacks them, and
-:func:`limit_rows` reads the stabilized rows off a solved table.
+on row ``x - 1``; :func:`_rows` is the one loop that produces them, which
+:func:`solve` stacks and :func:`limit_rows` follows until they repeat.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
-from typing import NamedTuple
+from itertools import accumulate, islice
+from operator import gt
+from typing import Iterator, NamedTuple
 
 from .automaton import convergence_bound
 from .core import (
@@ -40,6 +47,16 @@ from .core import (
 
 class ConvergenceBoundExceeded(GameError):
     """Raised when same-parity rows still differ at the convergence bound."""
+
+
+class RowNotMonotone(GameError):
+    """Raised when the row kernel is handed a row that decreases somewhere.
+
+    Budget monotonicity (property A) says every solved row is nondecreasing
+    in Left's budget, and the kernel's crossing search is exact only on such
+    rows.  A row that breaks it contradicts the property, so it is refused
+    rather than solved.
+    """
 
 
 def _suffix_minima(values: tuple[int, ...]) -> list[int]:
@@ -69,10 +86,48 @@ def _next_row(tb: int, prev: tuple[int, ...]) -> tuple[int, ...]:
     """One step of the reduced recursion: Right minimizes, Left maximizes.
 
     Left bids ``l`` (never more than either budget) and Right replies with
-    the tie or any overbid up to its budget ``q``; see :func:`_held_values`.
+    the tie, worth ``1 - prev[q + l]``, or an overbid.  ``prev`` must be
+    nondecreasing (property A), so Right's best overbid is ``l + 1``, worth
+    ``prev[p + l + 1] - 1``.  That term never falls as ``l`` grows and the
+    tie never rises, so bisection finds the first bid ``c`` where the
+    overbid is worth at least the tie: below ``c`` Right holds Left to the
+    overbid, best at ``c - 1``, and from ``c`` on to the tie, best at ``c``.
+    A Left bid of all of Right's money (``l = q``) leaves no overbid.
     """
-    low = _suffix_minima(prev)
-    return tuple(max(_held_values(prev, p, low)) for p in range(tb + 1))
+    if any(map(gt, prev, islice(prev, 1, None))):
+        p = next(p for p in range(tb) if prev[p] > prev[p + 1])
+        raise RowNotMonotone(
+            f"row falls from {prev[p]} at budget {p} to {prev[p + 1]} at budget "
+            f"{p + 1}: budget monotonicity (property A) does not hold"
+        )
+    row = []
+    for p in range(tb + 1):
+        q = tb - p
+        top = min(p, q - 1) + 1  # bids below ``top`` leave Right an overbid
+        lo, hi = 0, top
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if prev[p + mid + 1] + prev[q + mid] >= 2:  # overbid >= tie
+                hi = mid
+            else:
+                lo = mid + 1
+        held = []
+        if lo > 0:
+            held.append(prev[p + lo] - 1)
+        if lo < top:
+            held.append(1 - prev[q + lo])
+        if q <= p:
+            held.append(1 - prev[2 * q])
+        row.append(max(held))
+    return tuple(row)
+
+
+def _rows(tb: int) -> Iterator[tuple[int, ...]]:
+    """Rows ``0, 1, 2, ...`` of the reduced recursion, without end."""
+    row = (0,) * (tb + 1)
+    while True:
+        yield row
+        row = _next_row(tb, row)
 
 
 def solve(tb: int, x_max: int) -> OutcomeTable:
@@ -81,10 +136,7 @@ def solve(tb: int, x_max: int) -> OutcomeTable:
         raise ValueError(f"total budget must be >= 0, got {tb}")
     if x_max < 0:
         raise ValueError(f"x_max must be >= 0, got {x_max}")
-    rows = [tuple([0] * (tb + 1))]
-    for _ in range(x_max):
-        rows.append(_next_row(tb, rows[-1]))
-    return OutcomeTable(tb, tuple(rows))
+    return OutcomeTable(tb, tuple(islice(_rows(tb), x_max + 1)))
 
 
 def value(table: OutcomeTable, pos: RichmanPosition) -> int:
@@ -175,25 +227,26 @@ class LimitRows(NamedTuple):
 def limit_rows(tb: int) -> LimitRows:
     """Stabilized per-parity rows and the heap size where they settle.
 
-    Solves two heap sizes past the convergence bound ``B(tb)``.  ``x_star``
-    is the smallest heap size from which every same-parity pair of rows in
-    the solved range agrees.  Rows still changing between ``B(tb)`` and
-    ``B(tb) + 2`` are a hard error: that would contradict the quadratic
-    convergence guarantee and must never be silently ignored.
+    Follows the rows up to the first heap ``k`` with ``rows[k] ==
+    rows[k - 2]``.  Row ``x + 1`` depends only on row ``x``, so every later
+    row repeats with period 2, no earlier pair of same-parity rows two apart
+    agrees, and ``x_star = k - 2`` is the smallest heap size from which all
+    of them agree.  Only the last three rows are held; each costs
+    O(tb log tb) in :func:`_next_row`, which raises :class:`RowNotMonotone`
+    on a row that breaks property A.  A first repeat past ``B(tb) + 2``, for
+    the convergence bound ``B(tb)``, is a hard error: that would contradict
+    the quadratic convergence guarantee and must never be silently ignored.
     """
     bound = convergence_bound(tb)
-    x_max = bound + 2
-    rows = solve(tb, x_max).rows
-
-    if rows[bound] != rows[bound + 2]:
-        raise ConvergenceBoundExceeded(
-            f"rows at {bound} and {bound + 2} still differ for tb={tb}"
-        )
-
-    x_star = x_max - 1
-    while x_star > 0 and rows[x_star - 1] == rows[x_star + 1]:
-        x_star -= 1
-
-    even = rows[x_max] if x_max % 2 == 0 else rows[x_max - 1]
-    odd = rows[x_max] if x_max % 2 == 1 else rows[x_max - 1]
-    return LimitRows(even_row=even, odd_row=odd, x_star=x_star)
+    older = old = None
+    for k, row in enumerate(_rows(tb)):
+        if row == older:
+            break
+        if k >= bound + 2:
+            raise ConvergenceBoundExceeded(
+                f"rows at {bound} and {bound + 2} still differ for tb={tb}"
+            )
+        older, old = old, row
+    if k % 2 == 0:
+        return LimitRows(even_row=row, odd_row=old, x_star=k - 2)
+    return LimitRows(even_row=old, odd_row=row, x_star=k - 2)

@@ -12,7 +12,7 @@ from bcs.automaton import (
     iota,
     outcome_bounds,
 )
-from bcs.solver import solve
+from bcs.solver import limit_rows, solve
 
 from goldens import TB8_EVEN_LIMIT, TB8_ODD_LIMIT, TB9_EVEN_LIMIT, TB9_ODD_LIMIT
 
@@ -166,3 +166,43 @@ def test_update_rule_closure_small_sweep():
     for tb in range(8):
         report = conjecture_report(tb)
         assert report.update_rule_holds, tb
+
+
+SWEEP = range(41)
+
+
+def _backward_x_star(rows):
+    """``x_star`` read off a full table: scan back from the last row while
+    same-parity rows two apart agree."""
+    x_star = len(rows) - 2
+    while x_star > 0 and rows[x_star - 1] == rows[x_star + 1]:
+        x_star -= 1
+    return x_star
+
+
+@pytest.mark.parametrize("tb", SWEEP)
+def test_limit_rows_match_the_full_table(tb):
+    x_max = convergence_bound(tb) + 2
+    rows = solve(tb, x_max).rows
+    assert rows[x_max - 2] == rows[x_max]
+    last_two = {x_max % 2: rows[x_max], (x_max - 1) % 2: rows[x_max - 1]}
+    assert limit_rows(tb) == (last_two[0], last_two[1], _backward_x_star(rows))
+
+
+@pytest.mark.parametrize("tb", SWEEP)
+def test_closed_forms_match_limits_sweep(tb):
+    matches = conjecture_report(tb).matches
+    if tb % 2 == 0:
+        assert matches == {"alpha": "exact"}
+    else:
+        assert matches["beta_truncated"] == "exact"
+        assert matches["beta_euclidean"] != "exact"
+
+
+def test_x_star_pairs_each_odd_budget_with_the_next_even_one():
+    # An observed regression fact for tb <= 40, not a theorem: the rows of
+    # tb = 2k - 1 and tb = 2k settle at the same heap.  The bound B(tb) is
+    # the paper's and is not tightened from it.
+    x_star = {tb: limit_rows(tb).x_star for tb in SWEEP}
+    for k in range(1, 21):
+        assert x_star[2 * k] == x_star[2 * k - 1], k

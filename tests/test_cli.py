@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -432,3 +433,20 @@ def test_malformed_ruleset_exits_usage(tmp_path, capsys, text):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_undeclared_targets_error_ignores_hash_seed(tmp_path):
+    path = tmp_path / "broken.game"
+    path.write_text("node a\nedge L a q 1\nedge L a z 1\ntb 1\nbids all\n")
+    results = set()
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bcs", "check", "--ruleset", str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        results.add((proc.returncode, proc.stdout, proc.stderr))
+    assert results == {
+        (2, "", "error: move 'a' -> ['q', 'z'] references unknown positions\n")
+    }

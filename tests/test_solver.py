@@ -1,11 +1,15 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bcs.core import BidPair, BidWinner, InfeasibleBid, OutOfRange, Side, make_position
+from bcs.cli import main
+from bcs.core import BidPair, BidWinner, GameError, InfeasibleBid, OutOfRange, Side, make_position
 from bcs.solver import (
     ConvergenceBoundExceeded,
+    RowNotMonotone,
+    _held_values,
     _marker_left_bids,
     _next_row,
+    _suffix_minima,
     equilibrium_bids,
     limit_rows,
     solve,
@@ -193,20 +197,84 @@ def _literal_responses(prev, p):
     }
 
 
-# Any integer row, monotone or not: the suffix-minimum kernel relies on no
-# property of the solved tables, only on the overbids landing on a suffix.
+_ROW_ENTRIES = st.one_of(st.integers(-3, 3), st.integers())
+
+
+# Any nondecreasing row (property A), not only the solved ones: the crossing
+# search relies on that order and on nothing else.
 @settings(max_examples=300)
-@given(st.lists(st.one_of(st.integers(-3, 3), st.integers()), min_size=1, max_size=17))
-@example([3, -2, 5, 0, 1])
-def test_kernel_matches_literal_recursion_on_any_row(prev):
+@given(st.lists(_ROW_ENTRIES, min_size=1, max_size=17).map(sorted))
+@example([-2, 0, 1, 3, 5])
+@example([0, 0, 0, 0])
+def test_kernel_matches_literal_recursion_on_monotone_rows(prev):
     prev = tuple(prev)
     tb = len(prev) - 1
     row = _next_row(tb, prev)
     for p in range(tb + 1):
         options = _literal_responses(prev, p)
+        assert row[p] == max(min(v for _, v in replies) for replies in options.values())
+
+
+def test_kernel_refuses_non_monotone_row():
+    with pytest.raises(RowNotMonotone, match="from 1 at budget 1 to 0 at budget 2"):
+        _next_row(4, (0, 1, 0, 1, 2))
+    assert issubclass(RowNotMonotone, GameError)
+
+
+def test_non_monotone_row_fails_the_cli(capsys, monkeypatch):
+    kernel = _next_row
+    # Row 1 reversed decreases, so computing row 2 must refuse it.
+    monkeypatch.setattr("bcs.solver._next_row", lambda tb, prev: kernel(tb, prev[::-1]))
+    assert main(["limits", "--tb", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "property A" in captured.err
+
+
+def test_limit_rows_stops_at_the_first_two_cycle(monkeypatch):
+    calls = []
+    kernel = _next_row
+
+    def counted(tb, prev):
+        calls.append(tb)
+        return kernel(tb, prev)
+
+    monkeypatch.setattr("bcs.solver._next_row", counted)
+    limits = limit_rows(8)
+    assert limits.x_star == 11
+    assert len(calls) == limits.x_star + 2  # rows 1..k, k = x_star + 2
+
+
+def test_limit_rows_bound_is_inclusive(capsys, monkeypatch):
+    expected = limit_rows(8)
+    first_repeat = expected.x_star + 2
+    # The first 2-cycle exactly at B + 2 is within the bound ...
+    monkeypatch.setattr("bcs.solver.convergence_bound", lambda tb: first_repeat - 2)
+    assert limit_rows(8) == expected
+    # ... and one row past it is not.
+    monkeypatch.setattr("bcs.solver.convergence_bound", lambda tb: first_repeat - 3)
+    with pytest.raises(ConvergenceBoundExceeded):
+        limit_rows(8)
+    assert main(["limits", "--tb", "8"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: rows at")
+
+
+# Any integer row, monotone or not: the bid sets read Right's best overbid
+# as a suffix minimum, which relies on no property of the solved tables,
+# only on the overbids landing on a suffix.
+@settings(max_examples=300)
+@given(st.lists(_ROW_ENTRIES, min_size=1, max_size=17))
+@example([3, -2, 5, 0, 1])
+def test_kernel_matches_literal_recursion_on_any_row(prev):
+    prev = tuple(prev)
+    tb = len(prev) - 1
+    for p in range(tb + 1):
+        options = _literal_responses(prev, p)
         held = {l: min(v for _, v in replies) for l, replies in options.items()}
+        assert _held_values(prev, p, _suffix_minima(prev)) == [held[l] for l in sorted(held)]
         best = max(held.values())
-        assert row[p] == best
         expected = {
             bid
             for l, replies in options.items()
