@@ -10,24 +10,21 @@ an independent mechanism.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import OutcomeTable, RichmanPosition, Side
-from .oracle import oracle_value
+from .oracle import oracle_table
 from .solver import _held_values, _suffix_minima, solve, value
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     x: int
     p: int
     values: tuple[int, ...]
     note: str = ""
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """Verdict of one invariant over a solved range."""
 
     name: str
@@ -203,8 +200,7 @@ def run_invariant_suite(tb: int, x_max: int) -> list[InvariantReport]:
     return run_invariant_suite_on(solve(tb, x_max))
 
 
-@dataclass(frozen=True)
-class ForcedWinThreshold:
+class ForcedWinThreshold(NamedTuple):
     """Minimal Left budget that forces winning the last ``x`` auctions."""
 
     x: int
@@ -292,8 +288,7 @@ class BidGraphKind(enum.Enum):
     OPPONENT_WIN = "opponent-win"
 
 
-@dataclass(frozen=True)
-class BidEdge:
+class BidEdge(NamedTuple):
     kind: BidGraphKind
     bid: int
     src: int
@@ -305,8 +300,7 @@ class BidEdge:
         return f"{self.bid}{'T' if self.kind is BidGraphKind.TIE else 'W'}"
 
 
-@dataclass(frozen=True)
-class BidGraph:
+class BidGraph(NamedTuple):
     """Feasible auction transitions over marker-holder budgets.
 
     Nodes are the marker holder's dollars.  A tie at ``l`` moves the marker,
@@ -390,11 +384,12 @@ def check_oracle_equivalence(tb: int, x_max: int) -> InvariantReport:
 
 
 def _oracle_mismatch(table: OutcomeTable) -> Counterexample | None:
+    layers = oracle_table(table.tb, table.x_max)
     for x, p, _ in _cells(table):
         for marker in (Side.LEFT, Side.RIGHT):
             pos = RichmanPosition(tb=table.tb, heap=x, left_budget=p, marker=marker)
             fast = value(table, pos)
-            slow = oracle_value(table.tb, pos)
+            slow = layers[x][pos.left_holds_marker][p]
             if fast != slow:
                 return Counterexample(x, p, (fast, slow), f"marker={marker}")
     return None

@@ -25,8 +25,7 @@ confirm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .core import GameError
 
@@ -103,8 +102,7 @@ def convergence_bound(tb: int) -> int:
     return 1 + (half + 1) ** 2 - half
 
 
-@dataclass(frozen=True)
-class AutomatonTable:
+class AutomatonTable(NamedTuple):
     """Per-parity state values of the zero-bid automaton.
 
     ``even_state[p]`` / ``odd_state[p]`` are the values attached to budget
@@ -170,8 +168,7 @@ def outcome_bounds(
     return table.state(parity)[p]
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """Outcome of comparing solved limit rows with the automaton.
 
     ``matches`` maps a closed-form mode ("alpha" for even budgets,
@@ -189,8 +186,8 @@ class ConvergenceReport:
     even_row: tuple[int, ...]
     odd_row: tuple[int, ...]
     update_rule_holds: bool
-    matches: dict[str, str] = field(default_factory=dict)
-    diffs: dict[str, tuple[tuple[str, int, int, int], ...]] = field(default_factory=dict)
+    matches: dict[str, str]
+    diffs: dict[str, tuple[tuple[str, int, int, int], ...]]
 
     @property
     def limits_match_automaton(self) -> bool:

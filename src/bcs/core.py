@@ -14,7 +14,7 @@ the total budget, Right's share is always derived.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class GameError(Exception):
@@ -89,8 +89,14 @@ class BidWinner(enum.Enum):
         return self in (BidWinner.LEFT_TIE, BidWinner.RIGHT_TIE)
 
 
-@dataclass(frozen=True)
-class RichmanPosition:
+class _PositionFields(NamedTuple):
+    tb: int
+    heap: int
+    left_budget: int
+    marker: Side
+
+
+class RichmanPosition(_PositionFields):
     """A heap size together with a budget split and the marker holder.
 
     ``left_budget`` is Left's share of ``tb``; Right's share is derived so
@@ -98,22 +104,18 @@ class RichmanPosition:
     exactly one side.
     """
 
-    tb: int
-    heap: int
-    left_budget: int
-    marker: Side
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.tb < 0:
-            raise BudgetOutOfRange(f"total budget must be >= 0, got {self.tb}")
-        if self.heap < 0:
-            raise HeapNegative(f"heap size must be >= 0, got {self.heap}")
-        if not 0 <= self.left_budget <= self.tb:
-            raise BudgetOutOfRange(
-                f"Left budget {self.left_budget} outside 0..{self.tb}"
-            )
-        if not isinstance(self.marker, Side):
-            raise TypeError(f"marker must be a Side, got {self.marker!r}")
+    def __new__(cls, tb: int, heap: int, left_budget: int, marker: Side) -> RichmanPosition:
+        if tb < 0:
+            raise BudgetOutOfRange(f"total budget must be >= 0, got {tb}")
+        if heap < 0:
+            raise HeapNegative(f"heap size must be >= 0, got {heap}")
+        if not 0 <= left_budget <= tb:
+            raise BudgetOutOfRange(f"Left budget {left_budget} outside 0..{tb}")
+        if not isinstance(marker, Side):
+            raise TypeError(f"marker must be a Side, got {marker!r}")
+        return super().__new__(cls, tb, heap, left_budget, marker)
 
     @property
     def right_budget(self) -> int:
@@ -133,12 +135,12 @@ def make_position(tb: int, heap: int, left_budget: int, marker: Side) -> Richman
     return RichmanPosition(tb=tb, heap=heap, left_budget=left_budget, marker=marker)
 
 
-@dataclass(frozen=True, order=True)
-class BidPair:
+class BidPair(NamedTuple):
     """A resolved pair of sealed bids.
 
-    Ordering is lexicographic on ``(left_bid, right_bid)``; the smallest
-    member of an equilibrium set is its canonical representative.
+    Ordering is lexicographic on ``(left_bid, right_bid)``, as for tuples;
+    the smallest member of an equilibrium set is its canonical
+    representative.
     """
 
     left_bid: int
@@ -188,8 +190,12 @@ def classify_bid(
     return bid, successor
 
 
-@dataclass(frozen=True)
-class OutcomeTable:
+class _TableFields(NamedTuple):
+    tb: int
+    rows: tuple[tuple[int, ...], ...]
+
+
+class OutcomeTable(_TableFields):
     """Equilibrium values for heap sizes ``0..x_max`` across all budget splits.
 
     ``row(x)[p]`` is the score of heap ``x`` when Left holds ``p`` dollars and
@@ -197,15 +203,13 @@ class OutcomeTable:
     flip ``-row(x)[tb - p]`` and are derived, never stored.
     """
 
-    tb: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for x, row in enumerate(self.rows):
-            if len(row) != self.tb + 1:
-                raise ValueError(
-                    f"row {x} has {len(row)} values, expected tb+1 = {self.tb + 1}"
-                )
+    def __new__(cls, tb: int, rows: tuple[tuple[int, ...], ...]) -> OutcomeTable:
+        for x, row in enumerate(rows):
+            if len(row) != tb + 1:
+                raise ValueError(f"row {x} has {len(row)} values, expected tb+1 = {tb + 1}")
+        return super().__new__(cls, tb, rows)
 
     @property
     def x_max(self) -> int:

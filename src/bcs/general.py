@@ -26,8 +26,7 @@ transfer leaves its receiver at least the smallest allowed bid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Mapping
+from typing import Hashable, Mapping, NamedTuple
 
 from .core import GameError, Side
 
@@ -49,62 +48,59 @@ class RulesetParseError(GameError):
     """Raised on malformed ruleset text."""
 
 
-@dataclass(frozen=True)
-class GeneralRuleset:
-    """A finite acyclic two-player bidding ruleset.
-
-    ``left_edges`` / ``right_edges`` map a position to that player's moves
-    out of it, each with its signed score contribution.  ``penalties``
-    applies to positions where an auction winner is stuck without a move;
-    unmentioned positions default to 0.
-    """
-
+class _RulesetFields(NamedTuple):
     positions: tuple[Node, ...]
     left_edges: Mapping[Node, Mapping[Node, int]]
     right_edges: Mapping[Node, Mapping[Node, int]]
     penalties: Mapping[Node, int]
     tb: int
     bid_set: frozenset[int]
+    order: tuple[Node, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "positions", tuple(self.positions))
-        for name in ("left_edges", "right_edges"):
-            edges = {x: dict(ys) for x, ys in getattr(self, name).items()}
-            object.__setattr__(self, name, edges)
-        object.__setattr__(self, "bid_set", frozenset(self.bid_set))
-        if self.tb < 0:
-            raise ValueError(f"total budget must be >= 0, got {self.tb}")
-        if not self.bid_set:
+
+class GeneralRuleset(_RulesetFields):
+    """A finite acyclic two-player bidding ruleset.
+
+    ``left_edges`` / ``right_edges`` map a position to that player's moves
+    out of it, each with its signed score contribution.  ``penalties``
+    applies to positions where an auction winner is stuck without a move;
+    unmentioned positions default to 0.  ``order`` is derived, not given:
+    the positions with every move's source before its target.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        positions: tuple[Node, ...],
+        left_edges: Mapping[Node, Mapping[Node, int]],
+        right_edges: Mapping[Node, Mapping[Node, int]],
+        penalties: Mapping[Node, int],
+        tb: int,
+        bid_set: frozenset[int],
+    ) -> GeneralRuleset:
+        positions = tuple(positions)
+        left_edges = {x: dict(ys) for x, ys in left_edges.items()}
+        right_edges = {x: dict(ys) for x, ys in right_edges.items()}
+        bid_set = frozenset(bid_set)
+        if tb < 0:
+            raise ValueError(f"total budget must be >= 0, got {tb}")
+        if not bid_set:
             raise InvalidRuleset("bid set must be non-empty")
-        if not all(0 <= b <= self.tb for b in self.bid_set):
-            raise InvalidRuleset(f"bids {sorted(self.bid_set)} outside 0..{self.tb}")
-        known = set(self.positions)
-        for x, ys in list(self.left_edges.items()) + list(self.right_edges.items()):
+        if not all(0 <= b <= tb for b in bid_set):
+            raise InvalidRuleset(f"bids {sorted(bid_set)} outside 0..{tb}")
+        known = set(positions)
+        for x, ys in list(left_edges.items()) + list(right_edges.items()):
             if x not in known or not set(ys) <= known:
                 targets = ", ".join(sorted(map(repr, ys)))
                 raise ValueError(f"move {x!r} -> [{targets}] references unknown positions")
-        object.__setattr__(self, "_order", self._topological_order())
+        order = _topological_order(positions, left_edges, right_edges)
+        return super().__new__(
+            cls, positions, left_edges, right_edges, penalties, tb, bid_set, order
+        )
 
-    def _topological_order(self) -> tuple[Node, ...]:
-        """Positions with every move's source before its target."""
-        succ = {x: set(self.edges(Side.LEFT, x)) | set(self.edges(Side.RIGHT, x))
-                for x in self.positions}
-        indeg = {x: 0 for x in self.positions}
-        for x in self.positions:
-            for y in succ[x]:
-                indeg[y] += 1
-        queue = [x for x in self.positions if indeg[x] == 0]
-        order = []
-        while queue:
-            x = queue.pop()
-            order.append(x)
-            for y in succ[x]:
-                indeg[y] -= 1
-                if indeg[y] == 0:
-                    queue.append(y)
-        if len(order) != len(self.positions):
-            raise CyclicRuleset("move graph contains a cycle")
-        return tuple(order)
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)[:-1]  # ``order`` is rebuilt, not passed
 
     def edges(self, side: Side, x: Node) -> Mapping[Node, int]:
         """``side``'s moves out of ``x``, each with its weight."""
@@ -115,10 +111,35 @@ class GeneralRuleset:
         return self.penalties.get(x, 0)
 
 
+def _topological_order(
+    positions: tuple[Node, ...],
+    left_edges: Mapping[Node, Mapping[Node, int]],
+    right_edges: Mapping[Node, Mapping[Node, int]],
+) -> tuple[Node, ...]:
+    """Positions with every move's source before its target."""
+    succ = {x: set(left_edges.get(x, ())) | set(right_edges.get(x, ())) for x in positions}
+    indeg = {x: 0 for x in positions}
+    for x in positions:
+        for y in succ[x]:
+            indeg[y] += 1
+    queue = [x for x in positions if indeg[x] == 0]
+    order = []
+    while queue:
+        x = queue.pop()
+        order.append(x)
+        for y in succ[x]:
+            indeg[y] -= 1
+            if indeg[y] == 0:
+                queue.append(y)
+    if len(order) != len(positions):
+        raise CyclicRuleset("move graph contains a cycle")
+    return tuple(order)
+
+
 def _fill(rs: GeneralRuleset, minimax: bool, start: Node | None = None) -> _Table:
     """Values of every state at ``start`` and below it, or at every position
     when ``start`` is None, filled in reverse topological order."""
-    order = rs._order
+    order = rs.order
     if start is not None:
         below = {start}
         for x in order[order.index(start):]:
@@ -211,8 +232,7 @@ def _check_state(ruleset: GeneralRuleset, node: Node, left_budget: int) -> None:
         raise ValueError(f"Left budget {left_budget} outside 0..{ruleset.tb}")
 
 
-@dataclass(frozen=True)
-class UViolation:
+class UViolation(NamedTuple):
     """One uniqueness-property failure with its smallest witness."""
 
     prop: str
@@ -223,8 +243,7 @@ class UViolation:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class UReport:
+class UReport(NamedTuple):
     holds: bool
     violations: tuple[UViolation, ...]
 

@@ -24,12 +24,14 @@ O(tb^2) per cell and stay exact on any integer row.
 Only marker-Left values are stored.  The value of a position where Right
 holds the marker is the zero-sum flip ``-row[q]``.  Row ``x`` depends only
 on row ``x - 1``; :func:`_rows` is the one loop that produces them, which
-:func:`solve` stacks and :func:`limit_rows` follows until they repeat.
+:func:`solve` stacks and :func:`limit_rows` follows until they repeat.  Once
+a row equals the row two before it, every later row is a copy, so neither
+computes a row past the first 2-cycle.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, islice
+from itertools import accumulate, cycle, islice
 from operator import gt
 from typing import Iterator, NamedTuple
 
@@ -123,11 +125,17 @@ def _next_row(tb: int, prev: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _rows(tb: int) -> Iterator[tuple[int, ...]]:
-    """Rows ``0, 1, 2, ...`` of the reduced recursion, without end."""
-    row = (0,) * (tb + 1)
-    while True:
+    """Rows ``0, 1, 2, ...`` of the reduced recursion, without end.
+
+    Row ``x + 1`` depends only on row ``x``, so once a row equals the row two
+    before it, the last two rows repeat in turn for ever and are yielded
+    without computing any more.
+    """
+    older, old, row = None, None, (0,) * (tb + 1)
+    while row != older:
         yield row
-        row = _next_row(tb, row)
+        older, old, row = old, row, _next_row(tb, row)
+    yield from cycle((row, old))
 
 
 def solve(tb: int, x_max: int) -> OutcomeTable:

@@ -12,7 +12,7 @@ from bcs.automaton import (
     iota,
     outcome_bounds,
 )
-from bcs.solver import limit_rows, solve
+from bcs.solver import _next_row, limit_rows, solve
 
 from goldens import TB8_EVEN_LIMIT, TB8_ODD_LIMIT, TB9_EVEN_LIMIT, TB9_ODD_LIMIT
 
@@ -183,7 +183,10 @@ def _backward_x_star(rows):
 @pytest.mark.parametrize("tb", SWEEP)
 def test_limit_rows_match_the_full_table(tb):
     x_max = convergence_bound(tb) + 2
-    rows = solve(tb, x_max).rows
+    rows = [(0,) * (tb + 1)]
+    while len(rows) <= x_max:  # every row up to the bound, no early stop
+        rows.append(_next_row(tb, rows[-1]))
+    assert solve(tb, x_max).rows == tuple(rows)
     assert rows[x_max - 2] == rows[x_max]
     last_two = {x_max % 2: rows[x_max], (x_max - 1) % 2: rows[x_max - 1]}
     assert limit_rows(tb) == (last_two[0], last_two[1], _backward_x_star(rows))

@@ -450,3 +450,20 @@ def test_undeclared_targets_error_ignores_hash_seed(tmp_path):
     assert results == {
         (2, "", "error: move 'a' -> ['q', 'z'] references unknown positions\n")
     }
+
+
+def test_cli_import_path_is_lean():
+    # Loading ``dataclasses`` pulls in ``inspect``, ``ast`` and ``dis``: a
+    # fixed cost on every ``bcs`` process.  Every submodule still loads.
+    code = (
+        "import sys, bcs.cli; "
+        "print(sorted(m for m in sys.modules if m in ('dataclasses', 'inspect'))); "
+        "print(sorted(m for m in sys.modules if m.startswith('bcs.')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    heavy, loaded = proc.stdout.splitlines()
+    assert heavy == "[]"
+    assert loaded == str([f"bcs.{m}" for m in (
+        "analysis", "automaton", "cli", "core", "general", "oracle", "solver"
+    )])

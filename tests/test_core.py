@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,7 +17,10 @@ from bcs.core import (
     classify_bid,
     make_position,
 )
+from bcs import analysis, automaton, general, oracle, solver
 from bcs.solver import value
+
+from goldens import ZUGZWANG_RULESET
 
 
 def test_make_position_examples():
@@ -134,3 +139,42 @@ def test_outcome_table_validates_shape():
         OutcomeTable(tb=2, rows=rows)
     with pytest.raises(ValueError):
         OutcomeTable(tb=1, rows=((0, 0), (-1, 1, 1)))
+
+
+def _one_of_each_record():
+    pos = make_position(2, 1, 1, Side.LEFT)
+    trace = oracle.replay(2, pos, [(1, 0)])
+    u_report = general.check_property_U(general.parse_ruleset(ZUGZWANG_RULESET))
+    graph = analysis.bid_graph(2, analysis.BidGraphKind.TIE, 0)
+    report = analysis.InvariantReport("parity", 2, 1, analysis.Counterexample(1, 0, (0,)))
+    return [
+        pos,
+        BidPair(0, 0, BidWinner.LEFT_TIE),
+        solver.solve(2, 1),
+        solver.limit_rows(2),
+        oracle.bid_matrix(2, pos),
+        trace.steps[0],
+        trace,
+        general.make_unitary_ruleset(2, 2),
+        u_report.violations[0],
+        u_report,
+        report.counterexample,
+        report,
+        analysis.forced_win_threshold(1, 1, Side.LEFT),
+        graph.edges[0],
+        graph,
+        automaton.automaton_fixed_point(2),
+        automaton.conjecture_report(2),
+    ]
+
+
+@pytest.mark.parametrize("record", _one_of_each_record(), ids=lambda r: type(r).__name__)
+def test_records_are_immutable(record):
+    field = type(record)._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.note_added_later = 1
+    # The records are named tuples: equal to the plain tuple of their fields.
+    assert record == tuple(getattr(record, f) for f in type(record)._fields)
+    assert pickle.loads(pickle.dumps(record)) == record

@@ -6,9 +6,10 @@ from bcs.core import (
     GameAlreadyOver,
     InfeasibleBid,
     Side,
+    classify_bid,
     make_position,
 )
-from bcs.oracle import bid_matrix, oracle_value, replay
+from bcs.oracle import bid_matrix, oracle_table, oracle_value, replay
 from bcs.solver import solve, value
 
 from goldens import (
@@ -59,12 +60,57 @@ def test_bid_matrix_rejects_empty_heap():
 
 
 def test_matrix_saddle_everywhere_small():
+    # every layer value is the saddle of the bid matrix at that cell
     for tb in range(5):
+        layers = oracle_table(tb, 7)
         for x in range(1, 8):
             for p in range(tb + 1):
                 for marker in (Side.LEFT, Side.RIGHT):
                     m = bid_matrix(tb, make_position(tb, x, p, marker))
-                    assert m.maximin == m.minimax
+                    assert layers[x][marker is Side.LEFT][p] == m.maximin == m.minimax
+
+
+def _literal_value(pos, memo):
+    """The game's value straight from the rules of one turn: Left's best bid
+    against Right's best reply over every pair, each turn resolved by
+    ``classify_bid``."""
+    if pos.heap == 0:
+        return 0
+    if pos not in memo:
+        replies = {}
+        for l in range(pos.left_budget + 1):
+            for r in range(pos.right_budget + 1):
+                bid, after = classify_bid(pos, l, r)
+                gain = 1 if bid.winner.side is Side.LEFT else -1
+                replies.setdefault(l, []).append(gain + _literal_value(after, memo))
+        memo[pos] = max(min(column) for column in replies.values())
+    return memo[pos]
+
+
+@settings(deadline=None, max_examples=60)
+@given(tb=st.integers(min_value=0, max_value=6), x_max=st.integers(min_value=0, max_value=6))
+def test_oracle_table_matches_literal_recursion(tb, x_max):
+    layers = oracle_table(tb, x_max)
+    assert len(layers) == x_max + 1
+    memo = {}
+    for x, layer in enumerate(layers):
+        for marker in (Side.LEFT, Side.RIGHT):
+            row = layer[marker is Side.LEFT]
+            assert len(row) == tb + 1
+            for p, v in enumerate(row):
+                assert v == _literal_value(make_position(tb, x, p, marker), memo)
+
+
+def test_oracle_has_no_depth_limit():
+    pos = make_position(1, 3000, 1, Side.RIGHT)
+    assert oracle_value(1, pos) == value(solve(1, 3000), pos)
+
+
+def test_oracle_table_rejects_negative_arguments():
+    with pytest.raises(ValueError):
+        oracle_table(-1, 3)
+    with pytest.raises(ValueError):
+        oracle_table(3, -1)
 
 
 def test_left_win_entries_never_needed():

@@ -243,6 +243,11 @@ def test_limit_rows_stops_at_the_first_two_cycle(monkeypatch):
     limits = limit_rows(8)
     assert limits.x_star == 11
     assert len(calls) == limits.x_star + 2  # rows 1..k, k = x_star + 2
+    # ``solve`` computes the same rows and copies the 2-cycle past them.
+    calls.clear()
+    rows = solve(8, 100).rows
+    assert len(calls) == limits.x_star + 2
+    assert rows[limits.x_star :] == (limits.odd_row, limits.even_row) * 45
 
 
 def test_limit_rows_bound_is_inclusive(capsys, monkeypatch):
