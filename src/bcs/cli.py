@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import analysis, automaton, general, solver
 from .core import (
@@ -35,39 +35,81 @@ _USAGE_ERRORS = (
 )
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(chunks: Iterable[str], out_path: str | None) -> None:
+    """Write ``chunks`` in order to ``out_path``, or to stdout for ``None`` or
+    ``"-"``.  The file is opened only once the first chunk is ready."""
+    chunks = iter(chunks)
+    first = next(chunks, "")
     if out_path is None or out_path == "-":
-        sys.stdout.write(text)
+        sys.stdout.write(first)
+        sys.stdout.writelines(chunks)
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(first)
+            fh.writelines(chunks)
 
 
-def _emit_json(payload: dict, out_path: str | None) -> None:
-    """Write ``payload`` as indented JSON inside the schema-version envelope."""
-    _emit(json.dumps({"schema_version": 1, **payload}, indent=2) + "\n", out_path)
+def _json(payload: dict, rows: Iterable[str] | None = None) -> Iterator[str]:
+    """``payload`` inside the schema-version envelope, in the bytes of
+    ``json.dumps(..., indent=2)``.  ``rows``, when given, are the rendered
+    entries of a last, non-empty list ``"rows"``, yielded one at a time."""
+    text = json.dumps({"schema_version": 1, **payload}, indent=2)
+    if rows is None:
+        yield text + "\n"
+        return
+    yield text[:-2] + ',\n  "rows": ['  # reopen the object before its "\n}"
+    separator = "\n"
+    for row in rows:
+        yield separator + row
+        separator = ",\n"
+    yield "\n  ]\n}\n"
 
 
-def _render_budget_columns(
-    tb: int, corner: str, rows: Iterable[tuple[str, Sequence[int]]]
-) -> str:
+# One entry of a table's "rows" at the depth ``json.dumps(indent=2)`` puts it.
+_JSON_ROW = '    {{\n      "x": {},\n      "values": [\n        {}\n      ]\n    }}'
+
+
+def _budget_columns(
+    tb: int, corner: str, labels: Sequence[object], rows: Sequence[Sequence[int]]
+) -> Iterator[str]:
     """Right-aligned columns of per-budget values under a header of the
-    budgets, richest first; each row is a label and its ``tb + 1`` values."""
-    lines = [[corner] + [str(p) for p in range(tb, -1, -1)]]
-    lines += [[label] + [str(v) for v in reversed(values)] for label, values in rows]
-    widths = [max(len(line[i]) for line in lines) for i in range(len(lines[0]))]
-    rendered = [
-        "  ".join(cell.rjust(w) for cell, w in zip(line, widths)) for line in lines
-    ]
-    return "\n".join(rendered) + "\n"
+    budgets, richest first: one line per label, holding its row's ``tb + 1``
+    values.
+
+    Lines are yielded one at a time, once the widths are known.  The widest
+    decimal in a column is that of the header budget or of the column's
+    least or greatest value, so no cell is rendered twice or held.
+    """
+    label_width = max(len(corner), max(map(len, map(str, labels))))
+    widths = []
+    for p in range(tb, -1, -1):
+        column = [values[p] for values in rows]
+        widths.append(max(len(str(v)) for v in (p, min(column), max(column))))
+
+    def line(label: object, values: Iterable[int]) -> str:
+        cells = [str(v).rjust(w) for v, w in zip(values, widths)]
+        return "  ".join([str(label).rjust(label_width), *cells]) + "\n"
+
+    yield line(corner, range(tb, -1, -1))
+    for label, values in zip(labels, rows):
+        yield line(label, reversed(values))
 
 
-def _table_json(table: OutcomeTable) -> dict:
-    return {
-        "tb": table.tb,
-        "x_max": table.x_max,
-        "rows": [{"x": x, "values": list(row)} for x, row in enumerate(table.rows)],
-    }
+def _table_chunks(table: OutcomeTable, fmt: str) -> Iterator[str]:
+    """``table`` in the ``solve`` format ``fmt``, one heap row at a time."""
+    if fmt == "csv":
+        yield "x,p,marker,value\n"
+        for x, row in enumerate(table.rows):
+            yield "".join([f"{x},{p},L,{v}\n" for p, v in enumerate(row)])
+    elif fmt == "json":
+        rows = (
+            _JSON_ROW.format(x, ",\n        ".join(map(str, row)))
+            for x, row in enumerate(table.rows)
+        )
+        yield from _json({"tb": table.tb, "x_max": table.x_max}, rows)
+    else:
+        heaps = range(len(table.rows))
+        yield from _budget_columns(table.tb, "x \\ p^", heaps, table.rows)
 
 
 def load_outcome_table_json(data: dict) -> OutcomeTable:
@@ -106,16 +148,7 @@ def load_outcome_table_json(data: dict) -> OutcomeTable:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     table = solver.solve(args.tb, args.x_max)
-    if args.format == "csv":
-        lines = ["x,p,marker,value"]
-        for x, row in enumerate(table.rows):
-            lines.extend(f"{x},{p},L,{v}" for p, v in enumerate(row))
-        _emit("\n".join(lines) + "\n", args.out)
-    elif args.format == "json":
-        _emit_json(_table_json(table), args.out)
-    else:
-        rows = ((str(x), row) for x, row in enumerate(table.rows))
-        _emit(_render_budget_columns(table.tb, "x \\ p^", rows), args.out)
+    _emit(_table_chunks(table, args.format), args.out)
     return EXIT_OK
 
 
@@ -130,12 +163,11 @@ def cmd_limits(args: argparse.Namespace) -> int:
             "even": list(limits.even_row),
             "odd": list(limits.odd_row),
         }
-        _emit_json(payload, args.out)
+        _emit(_json(payload), args.out)
     else:
-        text = f"tb = {args.tb}  B(tb) = {bound}  x_star = {limits.x_star}\n"
-        rows = [("x even", limits.even_row), ("x odd", limits.odd_row)]
-        text += _render_budget_columns(args.tb, "p^", rows)
-        _emit(text, args.out)
+        header = f"tb = {args.tb}  B(tb) = {bound}  x_star = {limits.x_star}\n"
+        labels, rows = ("x even", "x odd"), (limits.even_row, limits.odd_row)
+        _emit([header, *_budget_columns(args.tb, "p^", labels, rows)], args.out)
     return EXIT_OK
 
 
@@ -172,7 +204,7 @@ def _check_ruleset(args: argparse.Namespace) -> int:
                 for v in report.violations
             ],
         }
-        _emit_json(payload, args.out)
+        _emit(_json(payload), args.out)
     else:
         lines = []
         if report.holds:
@@ -183,7 +215,7 @@ def _check_ruleset(args: argparse.Namespace) -> int:
                 f"FAIL property {v.prop} at {v.node} budgets={v.budgets}: "
                 f"{v.lhs} {relation} {v.rhs}"
             )
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
     return EXIT_OK if report.holds else EXIT_CHECK_FAILED
 
 
@@ -217,9 +249,9 @@ def cmd_check(args: argparse.Namespace) -> int:
             "reports": [_report_payload(r) for r in reports],
             "passed": all(r.passed for r in reports),
         }
-        _emit_json(payload, args.out)
+        _emit(_json(payload), args.out)
     else:
-        _emit("\n".join(str(r) for r in reports) + "\n", args.out)
+        _emit(["\n".join(str(r) for r in reports) + "\n"], args.out)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 
 
@@ -236,15 +268,15 @@ def cmd_automaton(args: argparse.Namespace) -> int:
                 for name, t in tables.items()
             },
         }
-        _emit_json(payload, args.out)
+        _emit(_json(payload), args.out)
     else:
-        text = f"tb = {tb}  B(tb) = {bound}\n"
+        chunks = [f"tb = {tb}  B(tb) = {bound}\n"]
         for name, t in tables.items():
-            text += f"seed {name} (update rule: "
-            text += "holds)\n" if t.update_rule_holds() else "FAILS)\n"
-            rows = [("x even", t.even_state), ("x odd", t.odd_state)]
-            text += _render_budget_columns(tb, "p^", rows)
-        _emit(text, args.out)
+            verdict = "holds" if t.update_rule_holds() else "FAILS"
+            chunks.append(f"seed {name} (update rule: {verdict})\n")
+            labels, rows = ("x even", "x odd"), (t.even_state, t.odd_state)
+            chunks += _budget_columns(tb, "p^", labels, rows)
+        _emit(chunks, args.out)
     return EXIT_OK
 
 
@@ -263,7 +295,7 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
                 name: [list(d) for d in cells] for name, cells in report.diffs.items()
             },
         }
-        _emit_json(payload, args.out)
+        _emit(_json(payload), args.out)
     else:
         lines = [
             f"tb = {report.tb}  B(tb) = {report.bound}  x_star = {report.x_star}",
@@ -274,7 +306,7 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
             lines.append(f"{name}: {verdict}")
             for parity, p, limit, entry in report.diffs.get(name, ()):
                 lines.append(f"  {parity} p={p}: limit {limit} vs automaton {entry}")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
     return EXIT_OK if report.update_rule_holds else EXIT_CHECK_FAILED
 
 
@@ -282,9 +314,9 @@ def cmd_bids(args: argparse.Namespace) -> int:
     kind = analysis.BidGraphKind(args.kind)
     graph = analysis.bid_graph(args.tb, kind, args.bid, args.reduced)
     if args.format == "json":
-        _emit_json(analysis.bid_graph_to_json_dict(graph), args.out)
+        _emit(_json(analysis.bid_graph_to_json_dict(graph)), args.out)
     else:
-        _emit(analysis.bid_graph_to_dot(graph), args.out)
+        _emit([analysis.bid_graph_to_dot(graph)], args.out)
     return EXIT_OK
 
 

@@ -1,12 +1,19 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stdout
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, strategies as st
 
-from bcs.cli import main
+from bcs import solver
+from bcs.cli import load_outcome_table_json, main
+from bcs.core import OutcomeTable
 
 from goldens import TB5_ROWS, TB8_EVEN_LIMIT, TB8_ODD_LIMIT, ZUGZWANG_RULESET
 
@@ -300,6 +307,10 @@ GOLDEN_CORPUS = [
     ("check --from-json TABLE --format json", 0, "79ad8b0dd2b8b929701e622129c1f394843be0d59fd845326ad8356719d503e8"),
     ("check --ruleset RULESET", 1, "58d71cdb9f2437deab3ae4880f4fa2b91eecd3d0f80facac2259f03df170a318"),
     ("check --ruleset RULESET --format json", 1, "e16ebaba9e68057a3afc6a54a68966e88cad396f3649d31010626433e41189b6"),
+    # Captured before ``solve`` wrote its formats row by row.
+    ("solve --tb 48 --x-max 579 --format json", 0, "84a183832ea729364fb2690eda888180f99d649fef6a7c785e05fd27c5f631a3"),
+    ("solve --tb 24 --x-max 147 --format csv", 0, "0698d0bd0f95a4f875e0df2d0967145a7dc4270ccd1113929ccdfcd6d3f9d962"),
+    ("solve --tb 24 --x-max 147", 0, "5feb7dcf522ee5557709f5b8458060add0d602a48ba4453341525c24190a87a6"),
 ]
 SOLVE_OUT_TB6_X20_SHA256 = "98926765195e0c414efbee796b4934980f0041488b1d1bb32343818c54619c57"
 
@@ -321,6 +332,83 @@ def test_golden_corpus(tmp_path, capsys, command, exit_code, digest):
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == exit_code
     assert _sha256(out) == digest
+
+
+@st.composite
+def outcome_tables(draw):
+    tb, x_max = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    row = st.tuples(*[st.integers(-10**4, 10**4)] * (tb + 1))
+    return OutcomeTable(tb, tuple(draw(st.lists(row, min_size=x_max + 1, max_size=x_max + 1))))
+
+
+def _whole_documents(table):
+    """Each ``solve`` format of ``table`` rendered as one string, the way the
+    formats were written before ``solve`` streamed them."""
+    tb, rows = table.tb, table.rows
+    payload = {
+        "schema_version": 1,
+        "tb": tb,
+        "x_max": table.x_max,
+        "rows": [{"x": x, "values": list(row)} for x, row in enumerate(rows)],
+    }
+    csv = ["x,p,marker,value"]
+    for x, row in enumerate(rows):
+        csv.extend(f"{x},{p},L,{v}" for p, v in enumerate(row))
+    lines = [["x \\ p^"] + [str(p) for p in range(tb, -1, -1)]]
+    lines += [[str(x)] + [str(v) for v in reversed(row)] for x, row in enumerate(rows)]
+    widths = [max(len(line[i]) for line in lines) for i in range(tb + 2)]
+    text = ["  ".join(c.rjust(w) for c, w in zip(line, widths)) for line in lines]
+    return {
+        "json": json.dumps(payload, indent=2) + "\n",
+        "csv": "\n".join(csv) + "\n",
+        "table": "\n".join(text) + "\n",
+    }
+
+
+@given(outcome_tables())
+def test_streamed_solve_formats_match_whole_documents(table):
+    documents = _whole_documents(table)
+    argv = ["solve", "--tb", str(table.tb), "--x-max", str(table.x_max), "--format"]
+    for fmt, document in documents.items():
+        with patch("bcs.solver.solve", return_value=table), \
+                redirect_stdout(io.StringIO()) as out:
+            assert main(argv + [fmt]) == 0
+        assert out.getvalue() == document
+    assert load_outcome_table_json(json.loads(documents["json"])) == table
+
+
+def test_solve_json_memory_is_bounded_by_the_table(tmp_path):
+    # Rendered row by row, the 370 KB document never exists in memory whole;
+    # rendered whole, it held about 2.9 MB beyond the table.
+    argv = ["solve", "--tb", "48", "--x-max", "579", "--format", "json",
+            "--out", str(tmp_path / "t48.json")]
+    assert main(argv) == 0  # imports and first-call caches are not counted
+    tracemalloc.start()
+    try:
+        solver.solve(48, 579)
+        solve_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert main(argv) == 0
+        main_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert main_peak - solve_peak < 256 * 1024
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_failed_solve_writes_no_out_file(tmp_path, capsys, monkeypatch, fmt):
+    out = tmp_path / "table.out"
+    argv = ["--format", fmt, "--out", str(out)]
+    code, stdout, err = run_cli(capsys, "solve", "--tb", "-1", "--x-max", "3", *argv)
+    assert (code, stdout) == (2, "") and err.startswith("error: ")
+    assert not out.exists()
+
+    kernel = solver._next_row
+    # Row 1 reversed falls, so the kernel refuses it when asked for row 2.
+    monkeypatch.setattr(solver, "_next_row", lambda tb, prev: kernel(tb, prev)[::-1])
+    code, stdout, err = run_cli(capsys, "solve", "--tb", "5", "--x-max", "4", *argv)
+    assert (code, stdout) == (1, "") and err.startswith("error: row falls from ")
+    assert not out.exists()
 
 
 _GOOD_TABLE = {
