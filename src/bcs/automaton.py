@@ -19,8 +19,8 @@ negative ``delta`` two readings exist and they disagree:
   even-heap row through the automaton update).
 
 Both modes are exposed; the conjecture harness reports what each one
-matches, and bound queries default to the mode that the solved tables
-confirm.
+matches, and ``automaton_fixed_point`` defaults to the mode that the solved
+tables confirm.
 """
 
 from __future__ import annotations
@@ -152,20 +152,6 @@ def closed_form_tables(tb: int) -> dict[str, AutomatonTable]:
     if tb % 2 == 0:
         return {"alpha": automaton_fixed_point(tb)}
     return {f"beta_{mode}": automaton_fixed_point(tb, mode) for mode in BETA_MODES}
-
-
-def outcome_bounds(
-    tb: int, p: int, parity: Literal["even", "odd"], beta_mode: BetaMode = "truncated"
-) -> int:
-    """Automaton entry bounding the outcome of budget split ``p``.
-
-    Outcomes on heaps of the given parity never exceed this value when
-    ``2p >= tb`` and never fall below it when ``2p < tb``.
-    """
-    if not 0 <= p <= tb:
-        raise ValueError(f"budget {p} outside 0..{tb}")
-    table = automaton_fixed_point(tb, beta_mode)
-    return table.state(parity)[p]
 
 
 class ConvergenceReport(NamedTuple):

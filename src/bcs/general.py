@@ -36,15 +36,16 @@ Node = Hashable
 _Table = dict[Node, dict[Side, list[int | None]]]
 
 
-class InvalidRuleset(GameError):
+# A ruleset is input, so its errors are ``ValueError``s too: the CLI exits 2.
+class InvalidRuleset(GameError, ValueError):
     """Raised when a reachable state leaves neither player able to bid."""
 
 
-class CyclicRuleset(GameError):
+class CyclicRuleset(GameError, ValueError):
     """Raised when the move graph admits infinite play."""
 
 
-class RulesetParseError(GameError):
+class RulesetParseError(GameError, ValueError):
     """Raised on malformed ruleset text."""
 
 

@@ -11,10 +11,10 @@ cross-check.
 The row kernel leans on budget monotonicity (property A): every solved row
 is nondecreasing in Left's budget.  On such a row Right's best overbid
 against a Left bid is the smallest one, and its value rises with the bid
-while the tie's value falls, so Left's best bid sits where the two cross and
-bisection finds it.  A row then costs O(tb log tb), plus an O(tb) scan that
-checks the row it starts from; a row that is not nondecreasing raises
-:class:`RowNotMonotone` (the CLI exits 1) and is never trusted.
+while the tie's value falls, so Left's best bid sits where the two cross,
+and the kernel walks that crossing from each budget to the next.  A row then
+costs O(tb), plus an O(tb) scan that checks the row it starts from; a row
+that is not nondecreasing raises :class:`RowNotMonotone` (the CLI exits 1).
 
 The equilibrium bid sets and the domination check need every Left bid, not
 just the best one.  They read Right's best overbid as a suffix minimum of
@@ -91,10 +91,17 @@ def _next_row(tb: int, prev: tuple[int, ...]) -> tuple[int, ...]:
     the tie, worth ``1 - prev[q + l]``, or an overbid.  ``prev`` must be
     nondecreasing (property A), so Right's best overbid is ``l + 1``, worth
     ``prev[p + l + 1] - 1``.  That term never falls as ``l`` grows and the
-    tie never rises, so bisection finds the first bid ``c`` where the
-    overbid is worth at least the tie: below ``c`` Right holds Left to the
-    overbid, best at ``c - 1``, and from ``c`` on to the tie, best at ``c``.
-    A Left bid of all of Right's money (``l = q``) leaves no overbid.
+    tie never rises, so there is a first bid ``c`` where the overbid is
+    worth at least the tie: below ``c`` Right holds Left to the overbid,
+    best at ``c - 1``, and from ``c`` on to the tie, best at ``c``.  A Left
+    bid of all of Right's money (``l = q``) leaves no overbid.
+
+    The walk to ``c`` starts at the previous budget's: down while the bid
+    below crosses, then up while ``c`` does not, so exactness rests on
+    property A alone.  From one budget to the next the overbid's index rises
+    by one and the tie's falls by one, so on a nondecreasing row a crossing
+    at ``l`` implies one at ``l + 1`` for either neighbouring budget: ``c``
+    moves by at most one bid, as does ``top``, and a row costs O(tb).
     """
     if any(map(gt, prev, islice(prev, 1, None))):
         p = next(p for p in range(tb) if prev[p] > prev[p + 1])
@@ -103,24 +110,18 @@ def _next_row(tb: int, prev: tuple[int, ...]) -> tuple[int, ...]:
             f"{p + 1}: budget monotonicity (property A) does not hold"
         )
     row = []
+    c = 0
     for p in range(tb + 1):
         q = tb - p
-        top = min(p, q - 1) + 1  # bids below ``top`` leave Right an overbid
-        lo, hi = 0, top
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if prev[p + mid + 1] + prev[q + mid] >= 2:  # overbid >= tie
-                hi = mid
-            else:
-                lo = mid + 1
-        held = []
-        if lo > 0:
-            held.append(prev[p + lo] - 1)
-        if lo < top:
-            held.append(1 - prev[q + lo])
-        if q <= p:
-            held.append(1 - prev[2 * q])
-        row.append(max(held))
+        top = p + 1 if p < q else q  # bids below ``top`` leave Right an overbid
+        while c > top or c and prev[p + c] + prev[q + c - 1] >= 2:  # overbid >= tie
+            c -= 1
+        while c < top and prev[p + c + 1] + prev[q + c] < 2:  # overbid < tie
+            c += 1
+        best = prev[p + c] - 1 if c else 1 - prev[q]  # a tie at 0 always exists
+        if c <= p and 1 - prev[q + c] > best:  # Left can afford the tie at ``c``
+            best = 1 - prev[q + c]
+        row.append(best)
     return tuple(row)
 
 
@@ -239,11 +240,11 @@ def limit_rows(tb: int) -> LimitRows:
     rows[k - 2]``.  Row ``x + 1`` depends only on row ``x``, so every later
     row repeats with period 2, no earlier pair of same-parity rows two apart
     agrees, and ``x_star = k - 2`` is the smallest heap size from which all
-    of them agree.  Only the last three rows are held; each costs
-    O(tb log tb) in :func:`_next_row`, which raises :class:`RowNotMonotone`
-    on a row that breaks property A.  A first repeat past ``B(tb) + 2``, for
-    the convergence bound ``B(tb)``, is a hard error: that would contradict
-    the quadratic convergence guarantee and must never be silently ignored.
+    of them agree.  Only the last three rows are held; each costs O(tb) in
+    :func:`_next_row`, which walks the crossing from budget to budget and
+    raises :class:`RowNotMonotone` on a row that breaks property A.  A first
+    repeat past ``B(tb) + 2``, for the convergence bound ``B(tb)``, is a
+    hard error: that would contradict the quadratic convergence guarantee.
     """
     bound = convergence_bound(tb)
     older = old = None

@@ -10,7 +10,6 @@ from bcs.automaton import (
     conjecture_report,
     convergence_bound,
     iota,
-    outcome_bounds,
 )
 from bcs.solver import _next_row, limit_rows, solve
 
@@ -116,27 +115,18 @@ def test_convergence_bound_values():
         convergence_bound(-1)
 
 
-def test_outcome_bounds_examples():
-    assert outcome_bounds(8, 8, "odd") == 5
-    assert outcome_bounds(8, 0, "even") == -4
-    assert outcome_bounds(0, 0, "even") == 0
-    assert outcome_bounds(0, 0, "odd") == 1
-    with pytest.raises(ValueError):
-        outcome_bounds(8, 9, "odd")
-
-
 @pytest.mark.parametrize("tb", range(11))
 def test_outcome_bounds_contain_solver_values(tb):
     x_max = convergence_bound(tb) + 2
     table = solve(tb, x_max)
+    automaton = automaton_fixed_point(tb)
     for x in range(x_max + 1):
-        parity = "even" if x % 2 == 0 else "odd"
+        entries = automaton.state("even" if x % 2 == 0 else "odd")
         for p, v in enumerate(table.row(x)):
-            entry = outcome_bounds(tb, p, parity)
             if 2 * p >= tb:
-                assert v <= entry
+                assert v <= entries[p]
             else:
-                assert v >= entry
+                assert v >= entries[p]
 
 
 def test_conjecture_report_tb8():

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bcs import solver
-from bcs.cli import load_outcome_table_json, main
+from bcs.analysis import BidGraphKind
+from bcs.cli import build_parser, load_outcome_table_json, main
 from bcs.core import OutcomeTable
 
 from goldens import TB5_ROWS, TB8_EVEN_LIMIT, TB8_ODD_LIMIT, ZUGZWANG_RULESET
@@ -512,6 +513,10 @@ def test_out_of_range_arguments_exit_usage(tmp_path, capsys, command):
         ),
         pytest.param("node a terminal 0\ntb 1\nbids 0,2\n", id="bid-out-of-range"),
         pytest.param("node a\nedge L a b 1\ntb 1\nbids all\n", id="undeclared-node"),
+        pytest.param(
+            "node a\nnode b terminal 0\nedge L a b 1\nedge R a b -1\ntb 2\nbids 2\n",
+            id="nobody-can-bid",
+        ),
     ],
 )
 def test_malformed_ruleset_exits_usage(tmp_path, capsys, text):
@@ -540,18 +545,51 @@ def test_undeclared_targets_error_ignores_hash_seed(tmp_path):
     }
 
 
-def test_cli_import_path_is_lean():
-    # Loading ``dataclasses`` pulls in ``inspect``, ``ast`` and ``dis``: a
-    # fixed cost on every ``bcs`` process.  Every submodule still loads.
-    code = (
-        "import sys, bcs.cli; "
-        "print(sorted(m for m in sys.modules if m in ('dataclasses', 'inspect'))); "
-        "print(sorted(m for m in sys.modules if m.startswith('bcs.')))"
-    )
+def _python(code):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    heavy, loaded = proc.stdout.splitlines()
+    return proc.stdout.splitlines()
+
+
+def test_cli_import_path_is_lean():
+    # Loading ``dataclasses`` pulls in ``inspect``, ``ast`` and ``dis``: a
+    # fixed cost on every ``bcs`` process.  All seven submodules are in
+    # ``sys.modules`` after ``import bcs`` and after ``import bcs.cli``, where
+    # the benchmark's tracer looks for them, but ``analysis``, ``general`` and
+    # ``oracle`` are lazy: a ``limits`` run never executes them.
+    code = (
+        "import sys, types\n"
+        "def bcs_modules(unrun=False):\n"
+        "    print(sorted(name for name, module in sys.modules.items()\n"
+        "                 if name.startswith('bcs.')\n"
+        "                 and (type(module) is not types.ModuleType or not unrun)))\n"
+        "import bcs\n"
+        "bcs_modules()\n"
+        "import bcs.cli\n"
+        "bcs_modules()\n"
+        "print(sorted(m for m in sys.modules if m in ('dataclasses', 'inspect')))\n"
+        "bcs.cli.main(['limits', '--tb', '8', '--format', 'json'])\n"
+        "bcs_modules(unrun=True)\n"
+    )
+    after_bcs, after_cli, heavy, *_, unrun = _python(code)
+    layers = ["analysis", "automaton", "core", "general", "oracle", "solver"]
+    assert after_bcs == str([f"bcs.{m}" for m in layers])
+    assert after_cli == str(sorted(f"bcs.{m}" for m in [*layers, "cli"]))
     assert heavy == "[]"
-    assert loaded == str([f"bcs.{m}" for m in (
-        "analysis", "automaton", "cli", "core", "general", "oracle", "solver"
-    )])
+    assert unrun == str(["bcs.analysis", "bcs.general", "bcs.oracle"])
+
+
+def test_lazy_layers_run_on_first_use():
+    code = (
+        "import bcs\n"
+        "print(all(r.passed for r in bcs.analysis.run_invariant_suite(4, 6)))\n"
+        "from bcs.general import parse_ruleset\n"
+        "print(parse_ruleset('node a terminal 1\\ntb 2\\nbids all\\n').tb)\n"
+    )
+    assert _python(code) == ["True", "2"]
+
+
+def test_bids_kind_choices_are_the_bid_graph_kinds():
+    bids = build_parser()._subparsers._group_actions[0].choices["bids"]
+    kind = next(action for action in bids._actions if action.dest == "kind")
+    assert list(kind.choices) == sorted(k.value for k in BidGraphKind)

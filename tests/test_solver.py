@@ -206,6 +206,7 @@ _ROW_ENTRIES = st.one_of(st.integers(-3, 3), st.integers())
 @given(st.lists(_ROW_ENTRIES, min_size=1, max_size=17).map(sorted))
 @example([-2, 0, 1, 3, 5])
 @example([0, 0, 0, 0])
+@example([-3, -3, -3, -3, 1, 1])  # the walk steps down, up, and is cut to ``top``
 def test_kernel_matches_literal_recursion_on_monotone_rows(prev):
     prev = tuple(prev)
     tb = len(prev) - 1
@@ -213,6 +214,32 @@ def test_kernel_matches_literal_recursion_on_monotone_rows(prev):
     for p in range(tb + 1):
         options = _literal_responses(prev, p)
         assert row[p] == max(min(v for _, v in replies) for replies in options.values())
+
+
+def _crossings(prev):
+    """Per budget ``p``, the first Left bid whose best overbid is worth at
+    least the tie, found by a scan from bid 0, or the first bid that leaves
+    Right no overbid."""
+    tb = len(prev) - 1
+    crossings = []
+    for p in range(tb + 1):
+        q = tb - p
+        top = min(p, q - 1) + 1
+        crossings.append(
+            next((l for l in range(top) if prev[p + l + 1] - 1 >= 1 - prev[q + l]), top)
+        )
+    return crossings
+
+
+# The kernel walks each budget's crossing from the previous one, which costs
+# O(tb) a row because on a nondecreasing row the crossing moves by at most
+# one bid per budget (see ``_next_row``).
+@settings(max_examples=300)
+@given(st.lists(_ROW_ENTRIES, min_size=1, max_size=17).map(sorted))
+@example([-3, -3, -3, -3, 1, 1])
+def test_crossing_moves_at_most_one_bid_per_budget(prev):
+    crossings = _crossings(tuple(prev))
+    assert all(abs(b - a) <= 1 for a, b in zip(crossings, crossings[1:]))
 
 
 def test_kernel_refuses_non_monotone_row():
