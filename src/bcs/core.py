@@ -30,22 +30,11 @@ class BudgetOutOfRange(GameError):
 
 
 class InfeasibleBid(GameError):
-    """Raised when a bid exceeds the bidder's current budget.
-
-    ``index`` identifies the offending step when validating a bid sequence.
-    """
-
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
+    """Raised when a bid exceeds the bidder's current budget."""
 
 
 class GameAlreadyOver(GameError):
     """Raised when a move or bid is supplied after the heap is exhausted."""
-
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
 
 
 class OutOfRange(GameError):

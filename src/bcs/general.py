@@ -5,18 +5,19 @@ position graph (a move and the signed amount it adds to the running score,
 so Right's edges normally carry non-positive weights), a penalty for
 auction winners who cannot move, a total budget, and a set of allowed bids.
 
-Evaluation order matters in principle, so both orders are implemented:
-``general_maximin`` has Left declare a bid-move pair against Right's best
-response, ``general_minimax`` the reverse.  They agree whenever the ruleset
-satisfies the three uniqueness properties checked by
+Evaluation order matters in principle, so :func:`general_values` fills
+either one: by default Left declares a bid-move pair against Right's best
+response, with ``minimax`` Right declares first.  The two orders agree
+whenever the ruleset satisfies the three uniqueness properties checked by
 :func:`check_property_U`:
 
 * (A) budget monotonicity: more money never hurts, for either marker state;
 * (B) marker monotonicity: holding the marker never hurts;
 * (C) marker worth: the marker is never worth more than one dollar.
 
-Values are filled bottom-up, successors first, in the topological order
-found when the ruleset is built, so no depth limit caps the length of play.
+Every state is filled once, bottom-up, successors first, in the
+topological order found when the ruleset is built, so no depth limit caps
+the length of play; the reader then answers any state from that one table.
 If a player cannot afford any allowed bid, the other player acts unopposed
 (paying some allowed bid, marker untouched).  A state where neither can bid
 at a position where play should continue is invalid and raises
@@ -26,7 +27,7 @@ transfer leaves its receiver at least the smallest allowed bid.
 
 from __future__ import annotations
 
-from typing import Hashable, Mapping, NamedTuple
+from typing import Callable, Hashable, Mapping, NamedTuple
 
 from .core import GameError, Side
 
@@ -91,6 +92,9 @@ class GeneralRuleset(_RulesetFields):
         if not all(0 <= b <= tb for b in bid_set):
             raise InvalidRuleset(f"bids {sorted(bid_set)} outside 0..{tb}")
         known = set(positions)
+        if len(known) < len(positions):
+            twice = next(x for i, x in enumerate(positions) if x in positions[:i])
+            raise ValueError(f"position {twice!r} declared twice")
         for x, ys in list(left_edges.items()) + list(right_edges.items()):
             if x not in known or not set(ys) <= known:
                 targets = ", ".join(sorted(map(repr, ys)))
@@ -137,18 +141,10 @@ def _topological_order(
     return tuple(order)
 
 
-def _fill(rs: GeneralRuleset, minimax: bool, start: Node | None = None) -> _Table:
-    """Values of every state at ``start`` and below it, or at every position
-    when ``start`` is None, filled in reverse topological order."""
-    order = rs.order
-    if start is not None:
-        below = {start}
-        for x in order[order.index(start):]:
-            if x in below:
-                below.update(rs.edges(Side.LEFT, x), rs.edges(Side.RIGHT, x))
-        order = [x for x in order if x in below]
+def _fill(rs: GeneralRuleset, minimax: bool) -> _Table:
+    """Values of every state, filled in reverse topological order."""
     table: _Table = {}
-    for x in reversed(order):
+    for x in reversed(rs.order):
         table[x] = {
             marker: [_auction(rs, table, x, p, marker, minimax) for p in range(rs.tb + 1)]
             for marker in Side
@@ -200,37 +196,32 @@ def _auction(
     return max(min(payoff(ld, rd) for rd in rights) for ld in lefts)
 
 
-def _read(rs: GeneralRuleset, table: _Table, x: Node, p: int, marker: Side) -> int:
-    value = table[x][marker][p]
-    if value is None:
-        raise InvalidRuleset(
-            f"no player can bid at {x!r} with budgets {p}/{rs.tb - p} and bids "
-            f"{sorted(rs.bid_set)}"
-        )
+def general_values(
+    ruleset: GeneralRuleset, minimax: bool = False
+) -> Callable[[Node, int, Side], int]:
+    """Fill every state once and return the reader ``value(node,
+    left_budget, marker)``: Left declares first, or Right with ``minimax``.
+
+    The reader raises ``ValueError`` for an unknown node or a budget outside
+    ``0..tb``, and :class:`InvalidRuleset` where no player can bid.
+    """
+    table = _fill(ruleset, minimax)
+    tb = ruleset.tb
+
+    def value(node: Node, left_budget: int, marker: Side) -> int:
+        if node not in table:
+            raise ValueError(f"unknown position {node!r}")
+        if not 0 <= left_budget <= tb:
+            raise ValueError(f"Left budget {left_budget} outside 0..{tb}")
+        found = table[node][marker][left_budget]
+        if found is None:
+            raise InvalidRuleset(
+                f"no player can bid at {node!r} with budgets {left_budget}/"
+                f"{tb - left_budget} and bids {sorted(ruleset.bid_set)}"
+            )
+        return found
+
     return value
-
-
-def general_maximin(
-    ruleset: GeneralRuleset, node: Node, left_budget: int, marker: Side
-) -> int:
-    """Value when the marker side is as given and Left declares first."""
-    _check_state(ruleset, node, left_budget)
-    return _read(ruleset, _fill(ruleset, False, node), node, left_budget, marker)
-
-
-def general_minimax(
-    ruleset: GeneralRuleset, node: Node, left_budget: int, marker: Side
-) -> int:
-    """Reverse declaration order: Right declares, Left best-responds."""
-    _check_state(ruleset, node, left_budget)
-    return _read(ruleset, _fill(ruleset, True, node), node, left_budget, marker)
-
-
-def _check_state(ruleset: GeneralRuleset, node: Node, left_budget: int) -> None:
-    if node not in set(ruleset.positions):
-        raise ValueError(f"unknown position {node!r}")
-    if not 0 <= left_budget <= ruleset.tb:
-        raise ValueError(f"Left budget {left_budget} outside 0..{ruleset.tb}")
 
 
 class UViolation(NamedTuple):
@@ -257,14 +248,14 @@ def check_property_U(ruleset: GeneralRuleset) -> UReport:
     the first found scanning positions in declaration order and budgets
     from the richest Left downwards.
     """
-    table = _fill(ruleset, minimax=False)
+    value = general_values(ruleset)
     tb = ruleset.tb
 
     def hat(x: Node, p: int) -> int:
-        return _read(ruleset, table, x, p, Side.LEFT)
+        return value(x, p, Side.LEFT)
 
     def plain(x: Node, p: int) -> int:
-        return _read(ruleset, table, x, p, Side.RIGHT)
+        return value(x, p, Side.RIGHT)
 
     violations = []
 

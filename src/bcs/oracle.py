@@ -18,14 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import (
-    BidPair,
-    GameAlreadyOver,
-    InfeasibleBid,
-    RichmanPosition,
-    Side,
-    classify_bid,
-)
+from .core import GameAlreadyOver, RichmanPosition, Side
 
 # ``layer[left_marker][p]``: the score with Left holding ``p`` dollars, for
 # a marker-Right holder at index 0 (False) and marker-Left at 1 (True).
@@ -143,43 +136,3 @@ def bid_matrix(tb: int, pos: RichmanPosition) -> BidMatrix:
     return BidMatrix(
         tb=tb, heap=pos.heap, left_budget=p, marker=pos.marker, entries=entries
     )
-
-
-class PlayStep(NamedTuple):
-    position: RichmanPosition
-    bid: BidPair
-    removal: int
-
-
-class PlayTrace(NamedTuple):
-    """A validated play sequence with its running score settled."""
-
-    steps: tuple[PlayStep, ...]
-    final_position: RichmanPosition
-    utility: int
-
-
-def replay(
-    tb: int, start: RichmanPosition, bids: list[tuple[int, int]]
-) -> PlayTrace:
-    """Resolve a sequence of ``(left_bid, right_bid)`` pairs from ``start``.
-
-    Each auction winner removes one pebble; the utility is the signed sum
-    of removals.  Validation failures carry the index of the offending
-    step.
-    """
-    if start.tb != tb:
-        raise ValueError(f"position built for tb={start.tb}, asked for tb={tb}")
-    pos = start
-    steps = []
-    score = 0
-    for i, (l, r) in enumerate(bids):
-        try:
-            bid, after = classify_bid(pos, l, r)
-        except (GameAlreadyOver, InfeasibleBid) as exc:
-            raise type(exc)(str(exc), index=i) from None
-        removal = 1 if bid.winner.side is Side.LEFT else -1
-        score += removal
-        steps.append(PlayStep(position=pos, bid=bid, removal=removal))
-        pos = after
-    return PlayTrace(steps=tuple(steps), final_position=pos, utility=score)

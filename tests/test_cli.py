@@ -229,8 +229,7 @@ def test_play_scripted(capsys, monkeypatch):
 def test_play_transcript_replays(capsys, monkeypatch):
     import re
 
-    from bcs.core import Side, make_position
-    from bcs.oracle import replay
+    from bcs.core import Side, classify_bid, make_position
 
     feed = iter(["2", "0", "1"])
     monkeypatch.setattr("builtins.input", lambda prompt="": next(feed))
@@ -244,9 +243,12 @@ def test_play_transcript_replays(capsys, monkeypatch):
         (int(l), int(r)) for l, r in re.findall(r"bids: L=(\d+) R=(\d+)", out)
     ]
     assert len(bids) == 3
-    trace = replay(9, make_position(9, 3, 4, Side.RIGHT), bids)
+    pos, score = make_position(9, 3, 4, Side.RIGHT), 0
+    for l, r in bids:
+        bid, pos = classify_bid(pos, l, r)
+        score += 1 if bid.winner.side is Side.LEFT else -1
     printed = int(re.search(r"final score ([+-]\d+)", out).group(1))
-    assert trace.utility == printed
+    assert (pos.heap, score) == (0, printed)
 
 
 def test_play_reprompts_and_aborts(capsys, monkeypatch):
@@ -526,6 +528,21 @@ def test_malformed_ruleset_exits_usage(tmp_path, capsys, text):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, twice",
+    [
+        ("node a\nnode b terminal 0\nnode b\nedge L a b 1\ntb 1\nbids all\n", "b"),
+        ("node a\nnode a\nnode b terminal 0\nedge L a b 1\ntb 1\nbids all\n", "a"),
+    ],
+    ids=["target", "source"],
+)
+def test_position_declared_twice_exits_usage(tmp_path, capsys, text, twice):
+    path = tmp_path / "twice.game"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "check", "--ruleset", str(path))
+    assert (code, out, err) == (2, "", f"error: position {twice!r} declared twice\n")
 
 
 def test_undeclared_targets_error_ignores_hash_seed(tmp_path):

@@ -82,6 +82,36 @@ def test_classify_bid_feasibility():
         classify_bid(make_position(5, 0, 1, Side.LEFT), 0, 0)
 
 
+def _play(pos, bids):
+    """Fold ``classify_bid`` over ``bids``: the winners, the signed count of
+    removals and the final position."""
+    winners, score = [], 0
+    for l, r in bids:
+        bid, pos = classify_bid(pos, l, r)
+        winners.append(bid.winner)
+        score += 1 if bid.winner.side is Side.LEFT else -1
+    return winners, score, pos
+
+
+def test_classify_bid_folds_over_a_played_sequence():
+    start = make_position(5, 2, 1, Side.LEFT)
+    winners, score, end = _play(start, [(1, 1), (0, 2)])
+    assert winners == [BidWinner.LEFT_TIE, BidWinner.RIGHT_STRICT]
+    assert (score, end.heap, end.left_budget) == (0, 0, 2)
+    with pytest.raises(InfeasibleBid):  # the tie took Left's only dollar
+        _play(start, [(1, 1), (1, 0)])
+    with pytest.raises(GameAlreadyOver):
+        _play(make_position(4, 1, 2, Side.LEFT), [(0, 0), (0, 0)])
+    assert _play(start, []) == ([], 0, start)
+
+
+def test_classify_bid_fold_at_tb0_alternates():
+    # with no money every auction is a zero tie, and the marker alternates
+    winners, score, _ = _play(make_position(0, 3, 0, Side.LEFT), [(0, 0)] * 3)
+    assert [w.side for w in winners] == [Side.LEFT, Side.RIGHT, Side.LEFT]
+    assert score == 1
+
+
 @st.composite
 def position_and_bids(draw):
     tb = draw(st.integers(min_value=0, max_value=9))
@@ -143,7 +173,6 @@ def test_outcome_table_validates_shape():
 
 def _one_of_each_record():
     pos = make_position(2, 1, 1, Side.LEFT)
-    trace = oracle.replay(2, pos, [(1, 0)])
     u_report = general.check_property_U(general.parse_ruleset(ZUGZWANG_RULESET))
     graph = analysis.bid_graph(2, analysis.BidGraphKind.TIE, 0)
     report = analysis.InvariantReport("parity", 2, 1, analysis.Counterexample(1, 0, (0,)))
@@ -153,8 +182,6 @@ def _one_of_each_record():
         solver.solve(2, 1),
         solver.limit_rows(2),
         oracle.bid_matrix(2, pos),
-        trace.steps[0],
-        trace,
         general.make_unitary_ruleset(2, 2),
         u_report.violations[0],
         u_report,

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bcs.core import Side
 from bcs.general import (
@@ -8,8 +8,7 @@ from bcs.general import (
     InvalidRuleset,
     RulesetParseError,
     check_property_U,
-    general_maximin,
-    general_minimax,
+    general_values,
     make_unitary_ruleset,
     parse_ruleset,
 )
@@ -25,15 +24,17 @@ def zugzwang():
 
 def test_zugzwang_values(zugzwang):
     # with the marker Left cannot extract the forced move; without it she can
-    assert general_maximin(zugzwang, "x1", 1, Side.LEFT) == 0
-    assert general_maximin(zugzwang, "x1", 1, Side.RIGHT) == 1
-    assert general_maximin(zugzwang, "x1", 0, Side.RIGHT) == 1
-    assert general_maximin(zugzwang, "x2", 0, Side.LEFT) == 0
+    value = general_values(zugzwang)
+    assert value("x1", 1, Side.LEFT) == 0
+    assert value("x1", 1, Side.RIGHT) == 1
+    assert value("x1", 0, Side.RIGHT) == 1
+    assert value("x2", 0, Side.LEFT) == 0
 
 
 def test_zugzwang_minimax_agrees(zugzwang):
-    assert general_minimax(zugzwang, "x1", 1, Side.RIGHT) == 1
-    assert general_minimax(zugzwang, "x1", 1, Side.LEFT) == 0
+    value = general_values(zugzwang, True)
+    assert value("x1", 1, Side.RIGHT) == 1
+    assert value("x1", 1, Side.LEFT) == 0
 
 
 def test_zugzwang_marker_monotonicity_fails(zugzwang):
@@ -50,29 +51,31 @@ def test_zugzwang_marker_monotonicity_fails(zugzwang):
 def test_single_terminal_holds_vacuously():
     rs = parse_ruleset("node t terminal 0\ntb 2\nbids all\n")
     assert check_property_U(rs).holds
-    assert general_maximin(rs, "t", 1, Side.LEFT) == 0
+    assert general_values(rs)("t", 1, Side.LEFT) == 0
 
 
 def test_terminal_penalty_is_the_value():
-    rs = parse_ruleset("node t terminal -3\ntb 4\nbids all\n")
+    value = general_values(parse_ruleset("node t terminal -3\ntb 4\nbids all\n"))
     for p in range(5):
         for marker in (Side.LEFT, Side.RIGHT):
-            assert general_maximin(rs, "t", p, marker) == -3
+            assert value("t", p, marker) == -3
 
 
 def test_unitary_encoding_matches_solver():
-    rs = make_unitary_ruleset(5, 6)
+    value = general_values(make_unitary_ruleset(5, 6))
     table = solve(5, 6)
-    assert general_maximin(rs, 2, 1, Side.LEFT) == 0
+    assert value(2, 1, Side.LEFT) == 0
     for x in range(7):
         for p in range(6):
-            assert general_maximin(rs, x, p, Side.LEFT) == table.row(x)[p]
-            assert general_maximin(rs, x, p, Side.RIGHT) == -table.row(x)[5 - p]
+            assert value(x, p, Side.LEFT) == table.row(x)[p]
+            assert value(x, p, Side.RIGHT) == -table.row(x)[5 - p]
 
 
 def test_unitary_is_in_u():
     for tb in range(9):
         assert check_property_U(make_unitary_ruleset(tb, 20)).holds
+    # so is the two-pebble subtraction game, an example of the order test below
+    assert check_property_U(_two_step_subtraction(3, 7)).holds
 
 
 def _two_step_subtraction(tb: int, x_max: int) -> GeneralRuleset:
@@ -88,20 +91,9 @@ def _two_step_subtraction(tb: int, x_max: int) -> GeneralRuleset:
     )
 
 
-def test_minimax_equals_maximin_when_u_holds():
-    for rs in (make_unitary_ruleset(4, 8), _two_step_subtraction(3, 7)):
-        assert check_property_U(rs).holds
-        for x in rs.positions:
-            for p in range(rs.tb + 1):
-                for marker in (Side.LEFT, Side.RIGHT):
-                    assert general_maximin(rs, x, p, marker) == general_minimax(
-                        rs, x, p, marker
-                    )
-
-
 def test_deep_chain_has_no_depth_limit():
     rs = make_unitary_ruleset(0, 3000)
-    assert general_maximin(rs, 3000, 0, Side.LEFT) == 0
+    assert general_values(rs)(3000, 0, Side.LEFT) == 0
     assert check_property_U(rs).holds
 
 
@@ -115,9 +107,10 @@ def test_tb0_is_alternating_play():
         best = max if mover is Side.LEFT else min
         return best(alternating(y, mover.opponent) + w for y, w in edges.items())
 
+    value = general_values(rs)
     for x in range(9):
-        assert general_maximin(rs, x, 0, Side.LEFT) == alternating(x, Side.LEFT)
-        assert general_maximin(rs, x, 0, Side.RIGHT) == alternating(x, Side.RIGHT)
+        assert value(x, 0, Side.LEFT) == alternating(x, Side.LEFT)
+        assert value(x, 0, Side.RIGHT) == alternating(x, Side.RIGHT)
 
 
 def test_restricted_bids_unopposed_turns():
@@ -125,8 +118,9 @@ def test_restricted_bids_unopposed_turns():
     rs = parse_ruleset(
         "node a\nnode b terminal 0\nedge L a b 1\nedge R a b -1\ntb 2\nbids 2\n"
     )
-    assert general_maximin(rs, "a", 2, Side.RIGHT) == 1
-    assert general_maximin(rs, "a", 0, Side.LEFT) == -1
+    value = general_values(rs)
+    assert value("a", 2, Side.RIGHT) == 1
+    assert value("a", 0, Side.LEFT) == -1
 
 
 @st.composite
@@ -150,6 +144,25 @@ def small_rulesets(draw):
         tb=tb,
         bid_set=draw(st.frozensets(st.integers(min_value=0, max_value=tb), min_size=1)),
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_rulesets())
+@example(make_unitary_ruleset(4, 8))
+@example(_two_step_subtraction(3, 7))
+def test_minimax_equals_maximin_when_u_holds(rs):
+    """The uniqueness theorem: when properties A, B and C hold, both
+    declaration orders give the same value at every state."""
+    try:
+        holds = check_property_U(rs).holds
+    except InvalidRuleset:  # some state has no bidder
+        holds = False
+    assume(holds)
+    maximin, minimax = general_values(rs), general_values(rs, True)
+    for x in rs.positions:
+        for p in range(rs.tb + 1):
+            for marker in (Side.LEFT, Side.RIGHT):
+                assert maximin(x, p, marker) == minimax(x, p, marker)
 
 
 def _one_auction(rs, value, x, p, marker, minimax):
@@ -184,14 +197,8 @@ def test_unopposed_turn_is_the_movers_best_option(rs):
     mover pays some allowed bid and moves, or takes the penalty when stuck,
     and the marker stays put; a state where nobody can bid is invalid."""
     checked = {"contested": 0, "unopposed": 0}
-    for evaluate, minimax in ((general_maximin, False), (general_minimax, True)):
-        cache = {}
-
-        def value(y, budget, after):
-            if (y, budget, after) not in cache:
-                cache[(y, budget, after)] = evaluate(rs, y, budget, after)
-            return cache[(y, budget, after)]
-
+    for minimax in (False, True):
+        value = general_values(rs, minimax)
         for x in rs.positions:
             if not rs.edges(Side.LEFT, x) and not rs.edges(Side.RIGHT, x):
                 continue
@@ -200,10 +207,10 @@ def test_unopposed_turn_is_the_movers_best_option(rs):
                 for marker in (Side.LEFT, Side.RIGHT):
                     if not bidders:
                         with pytest.raises(InvalidRuleset):
-                            evaluate(rs, x, p, marker)
+                            value(x, p, marker)
                         continue
                     expected = _one_auction(rs, value, x, p, marker, minimax)
-                    assert evaluate(rs, x, p, marker) == expected
+                    assert value(x, p, marker) == expected
                     checked["contested" if bidders == 2 else "unopposed"] += 1
     # p = 0 leaves Right all tb >= min(bids), so some state can be checked
     assert sum(checked.values()) > 0 or not (rs.left_edges or rs.right_edges)
@@ -213,8 +220,17 @@ def test_invalid_when_nobody_can_bid():
     rs = parse_ruleset(
         "node a\nnode b terminal 0\nedge L a b 1\nedge R a b -1\ntb 2\nbids 2\n"
     )
-    with pytest.raises(InvalidRuleset):
-        general_maximin(rs, "a", 1, Side.LEFT)
+    with pytest.raises(InvalidRuleset, match=r"no player can bid at 'a' with budgets 1/1"):
+        general_values(rs)("a", 1, Side.LEFT)
+
+
+def test_reader_rejects_states_outside_the_ruleset(zugzwang):
+    value = general_values(zugzwang)
+    with pytest.raises(ValueError, match="unknown position 'x3'"):
+        value("x3", 0, Side.LEFT)
+    for p in (-1, 2):  # -1 would otherwise read the richest Left's value
+        with pytest.raises(ValueError, match=rf"Left budget {p} outside 0\.\.1"):
+            value("x1", p, Side.LEFT)
 
 
 def test_cycle_detection():
@@ -241,7 +257,7 @@ def test_parse_comments_and_bid_lists():
     )
     assert rs.bid_set == frozenset({0, 2})
     assert rs.penalty("b") == 2
-    assert general_maximin(rs, "b", 1, Side.LEFT) == 2
+    assert general_values(rs)("b", 1, Side.LEFT) == 2
 
 
 @st.composite
@@ -302,8 +318,9 @@ def test_marker_zugzwang_despite_favorable_signs():
         tb=0,
         bid_set=frozenset({0}),
     )
-    assert general_maximin(rs, "a", 0, Side.LEFT) == -1
-    assert general_maximin(rs, "a", 0, Side.RIGHT) == 0
+    value = general_values(rs)
+    assert value("a", 0, Side.LEFT) == -1
+    assert value("a", 0, Side.RIGHT) == 0
     report = check_property_U(rs)
     assert not report.holds
     assert [v.prop for v in report.violations] == ["B"]

@@ -1,15 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bcs.core import (
-    BidWinner,
-    GameAlreadyOver,
-    InfeasibleBid,
-    Side,
-    classify_bid,
-    make_position,
-)
-from bcs.oracle import bid_matrix, oracle_table, oracle_value, replay
+from bcs.core import GameAlreadyOver, Side, classify_bid, make_position
+from bcs.oracle import bid_matrix, oracle_table, oracle_value
 from bcs.solver import solve, value
 
 from goldens import (
@@ -125,37 +118,6 @@ def test_left_win_entries_never_needed():
                 ]
                 reduced = max(min(col) for col in kept if col)
                 assert reduced == m.maximin
-
-
-def test_replay_worked_sequence():
-    trace = replay(5, make_position(5, 2, 1, Side.LEFT), [(1, 1), (0, 2)])
-    assert [s.bid.winner for s in trace.steps] == [
-        BidWinner.LEFT_TIE,
-        BidWinner.RIGHT_STRICT,
-    ]
-    assert trace.utility == 0
-    assert trace.final_position.heap == 0
-    assert trace.final_position.left_budget == 2
-
-
-def test_replay_empty_and_over():
-    trace = replay(4, make_position(4, 0, 2, Side.LEFT), [])
-    assert trace.utility == 0
-    with pytest.raises(GameAlreadyOver) as exc:
-        replay(4, make_position(4, 1, 2, Side.LEFT), [(0, 0), (0, 0)])
-    assert exc.value.index == 1
-
-
-def test_replay_alternation_tb0():
-    trace = replay(0, make_position(0, 3, 0, Side.LEFT), [(0, 0)] * 3)
-    assert trace.utility == 1
-    assert [s.removal for s in trace.steps] == [1, -1, 1]
-
-
-def test_replay_flags_infeasible_step():
-    with pytest.raises(InfeasibleBid) as exc:
-        replay(5, make_position(5, 2, 1, Side.LEFT), [(1, 1), (1, 0)])
-    assert exc.value.index == 1
 
 
 @settings(deadline=None)
