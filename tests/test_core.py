@@ -98,11 +98,18 @@ def test_classify_bid_folds_over_a_played_sequence():
     winners, score, end = _play(start, [(1, 1), (0, 2)])
     assert winners == [BidWinner.LEFT_TIE, BidWinner.RIGHT_STRICT]
     assert (score, end.heap, end.left_budget) == (0, 0, 2)
-    with pytest.raises(InfeasibleBid):  # the tie took Left's only dollar
-        _play(start, [(1, 1), (1, 0)])
+
+
+def test_classify_bid_fold_empty_and_over():
+    start = make_position(5, 2, 1, Side.LEFT)
+    assert _play(start, []) == ([], 0, start)
     with pytest.raises(GameAlreadyOver):
         _play(make_position(4, 1, 2, Side.LEFT), [(0, 0), (0, 0)])
-    assert _play(start, []) == ([], 0, start)
+
+
+def test_classify_bid_fold_flags_infeasible_step():
+    with pytest.raises(InfeasibleBid):  # the tie took Left's only dollar
+        _play(make_position(5, 2, 1, Side.LEFT), [(1, 1), (1, 0)])
 
 
 def test_classify_bid_fold_at_tb0_alternates():
