@@ -10,11 +10,12 @@ an independent mechanism.
 from __future__ import annotations
 
 import enum
+from functools import cache
 from typing import Callable, NamedTuple
 
 from .core import OutcomeTable, RichmanPosition, Side
 from .oracle import oracle_table
-from .solver import _held_values, _suffix_minima, solve, value
+from .solver import solve, value
 
 
 class Counterexample(NamedTuple):
@@ -231,17 +232,12 @@ def left_can_force_final_wins(x: int, p: int, q: int, marker: Side) -> bool:
 
     Left commits to a bid; she must defeat every feasible Right bid (ties
     only count while she holds the marker, and cost her the marker) and
-    still force the remaining rounds from the resulting budgets.  The memo
+    still force the remaining rounds from the resulting budgets.  The cache
     lives for one call.
     """
-    memo: dict[tuple[int, int, int, Side], bool] = {}
 
-    def wins(*state) -> bool:
-        if state not in memo:
-            memo[state] = search(*state)
-        return memo[state]
-
-    def search(x: int, p: int, q: int, marker: Side) -> bool:
+    @cache
+    def wins(x: int, p: int, q: int, marker: Side) -> bool:
         if x == 0:
             return True
         for l in range(p + 1):
@@ -394,23 +390,3 @@ def _oracle_mismatch(table: OutcomeTable) -> Counterexample | None:
                 return Counterexample(x, p, (fast, slow), f"marker={marker}")
     return None
 
-
-def check_domination_soundness(tb: int, x_max: int) -> InvariantReport:
-    """Recompute every cell with dominated overbids excluded and compare.
-
-    In the reduced recursion the only strict wins are Right's, so the cap
-    drops Right bids above Left's budget plus one: Right's overbids then
-    reach only the budgets up to ``2p + 1``.
-    """
-    table = solve(tb, x_max)
-    return InvariantReport("domination_soundness", tb, x_max, _capped_mismatch(table))
-
-
-def _capped_mismatch(table: OutcomeTable) -> Counterexample | None:
-    for x in range(1, table.x_max + 1):
-        prev, row = table.row(x - 1), table.row(x)
-        for p in range(table.tb + 1):
-            capped = max(_held_values(prev, p, _suffix_minima(prev[: 2 * p + 2])))
-            if capped != row[p]:
-                return Counterexample(x, p, (row[p], capped))
-    return None

@@ -27,6 +27,7 @@ transfer leaves its receiver at least the smallest allowed bid.
 
 from __future__ import annotations
 
+from graphlib import CycleError, TopologicalSorter
 from typing import Callable, Hashable, Mapping, NamedTuple
 
 from .core import GameError, Side
@@ -123,22 +124,10 @@ def _topological_order(
 ) -> tuple[Node, ...]:
     """Positions with every move's source before its target."""
     succ = {x: set(left_edges.get(x, ())) | set(right_edges.get(x, ())) for x in positions}
-    indeg = {x: 0 for x in positions}
-    for x in positions:
-        for y in succ[x]:
-            indeg[y] += 1
-    queue = [x for x in positions if indeg[x] == 0]
-    order = []
-    while queue:
-        x = queue.pop()
-        order.append(x)
-        for y in succ[x]:
-            indeg[y] -= 1
-            if indeg[y] == 0:
-                queue.append(y)
-    if len(order) != len(positions):
-        raise CyclicRuleset("move graph contains a cycle")
-    return tuple(order)
+    try:
+        return tuple(reversed(tuple(TopologicalSorter(succ).static_order())))
+    except CycleError:
+        raise CyclicRuleset("move graph contains a cycle") from None
 
 
 def _fill(rs: GeneralRuleset, minimax: bool) -> _Table:
@@ -318,6 +307,9 @@ def parse_ruleset(text: str) -> GeneralRuleset:
         edge L|R FROM TO WEIGHT
         tb N
         bids all | bids B1,B2,...
+
+    ``tb`` and ``bids`` appear once each, and each side has at most one edge
+    from a position to a position; a line with extra tokens is refused.
     """
     positions: list[str] = []
     edges: dict[str, dict[str, dict[str, int]]] = {"L": {}, "R": {}}
@@ -342,13 +334,24 @@ def parse_ruleset(text: str) -> GeneralRuleset:
                         raise ValueError("expected 'node NAME [terminal PENALTY]'")
                     penalties[name] = int(parts[3])
             elif kind == "edge":
+                if len(parts) != 5:
+                    raise ValueError("expected 'edge L|R FROM TO WEIGHT'")
                 side, src, dst, weight = parts[1], parts[2], parts[3], int(parts[4])
                 if side.upper() not in edges:
                     raise ValueError(f"edge side must be L or R, got {side!r}")
-                edges[side.upper()].setdefault(src, {})[dst] = weight
+                moves = edges[side.upper()].setdefault(src, {})
+                if dst in moves:
+                    raise ValueError(f"second {side.upper()} edge from {src!r} to {dst!r}")
+                moves[dst] = weight
             elif kind == "tb":
+                if len(parts) != 2:
+                    raise ValueError("expected 'tb N'")
+                if tb is not None:
+                    raise ValueError("second 'tb' directive")
                 tb = int(parts[1])
             elif kind == "bids":
+                if bids_text is not None:
+                    raise ValueError("second 'bids' directive")
                 bids_text = line.split(None, 1)[1]
             else:
                 raise ValueError(f"unknown directive {kind!r}")

@@ -3,10 +3,9 @@
 The production recursion is the reduced one: for each Left bid only the tie
 and the Right overbids are examined, which is value-preserving because the
 ruleset satisfies budget monotonicity, marker monotonicity, and a one-dollar
-marker worth.  Left strict-win branches are evaluated only when enumerating
-equilibrium bid pairs, and independently by :mod:`bcs.oracle`, which replays
-the full three-branch recursion over the complete bid matrix as a
-cross-check.
+marker worth.  Left strict wins are evaluated only by :mod:`bcs.oracle`,
+which replays the full three-branch recursion over the complete bid matrix
+as a cross-check.
 
 The row kernel leans on budget monotonicity (property A): every solved row
 is nondecreasing in Left's budget.  On such a row Right's best overbid
@@ -16,10 +15,11 @@ and the kernel walks that crossing from each budget to the next.  A row then
 costs O(tb), plus an O(tb) scan that checks the row it starts from; a row
 that is not nondecreasing raises :class:`RowNotMonotone` (the CLI exits 1).
 
-The equilibrium bid sets and the domination check need every Left bid, not
-just the best one.  They read Right's best overbid as a suffix minimum of
-the previous row, which uses no property of the solved rows, so they cost
-O(tb^2) per cell and stay exact on any integer row.
+The equilibrium bid sets need every Left bid, not just the best one.  They
+rest on property A as well: Right's best overbid against each bid is read
+the same way, the previous row is checked by the same scan, and a row that
+decreases raises the same :class:`RowNotMonotone`.  A cell then costs
+O(tb) to value and O(tb^2) at most to list its bid pairs.
 
 Only marker-Left values are stored.  The value of a position where Right
 holds the marker is the zero-sum flip ``-row[q]``.  Row ``x`` depends only
@@ -31,7 +31,7 @@ computes a row past the first 2-cycle.
 
 from __future__ import annotations
 
-from itertools import accumulate, cycle, islice
+from itertools import cycle, islice
 from operator import gt
 from typing import Iterator, NamedTuple
 
@@ -61,27 +61,14 @@ class RowNotMonotone(GameError):
     """
 
 
-def _suffix_minima(values: tuple[int, ...]) -> list[int]:
-    """``out[i] = min(values[i:])`` for every index of ``values``."""
-    return list(accumulate(reversed(values), min))[::-1]
-
-
-def _held_values(prev: tuple[int, ...], p: int, low: list[int]) -> list[int]:
-    """What Right can hold each Left bid ``l = 0..min(p, q)`` to at budget ``p``.
-
-    Right either accepts the tie, worth ``1 - prev[q + l]`` after the
-    payment and the marker change hands, or overbids with some ``r > l``,
-    worth ``prev[p + r] - 1``.  The overbids land on a contiguous run of
-    budgets starting at ``p + l + 1``, so the best of them is
-    ``low[p + l + 1] - 1`` where ``low`` holds the suffix minima of ``prev``
-    over the budgets an overbid can reach.  A Left bid of all of Right's
-    money (``l = q``) leaves no overbid.
-    """
-    q = len(prev) - 1 - p
-    held = [min(1 - prev[q + l], low[p + l + 1] - 1) for l in range(min(p, q - 1) + 1)]
-    if q <= p:
-        held.append(1 - prev[2 * q])
-    return held
+def _require_monotone(row: tuple[int, ...]) -> None:
+    """Raise :class:`RowNotMonotone` at the first budget where ``row`` falls."""
+    if any(map(gt, row, islice(row, 1, None))):
+        p = next(p for p in range(len(row) - 1) if row[p] > row[p + 1])
+        raise RowNotMonotone(
+            f"row falls from {row[p]} at budget {p} to {row[p + 1]} at budget "
+            f"{p + 1}: budget monotonicity (property A) does not hold"
+        )
 
 
 def _next_row(tb: int, prev: tuple[int, ...]) -> tuple[int, ...]:
@@ -103,12 +90,7 @@ def _next_row(tb: int, prev: tuple[int, ...]) -> tuple[int, ...]:
     at ``l`` implies one at ``l + 1`` for either neighbouring budget: ``c``
     moves by at most one bid, as does ``top``, and a row costs O(tb).
     """
-    if any(map(gt, prev, islice(prev, 1, None))):
-        p = next(p for p in range(tb) if prev[p] > prev[p + 1])
-        raise RowNotMonotone(
-            f"row falls from {prev[p]} at budget {p} to {prev[p + 1]} at budget "
-            f"{p + 1}: budget monotonicity (property A) does not hold"
-        )
+    _require_monotone(prev)
     row = []
     c = 0
     for p in range(tb + 1):
@@ -180,11 +162,18 @@ def tie_conditioned_value(table: OutcomeTable, pos: RichmanPosition, l: int) -> 
 def _marker_left_bids(prev: tuple[int, ...], tb: int, p: int) -> frozenset[BidPair]:
     """Equilibrium bid pairs at a marker-Left cell, from the previous row.
 
-    Every Left bid that Right holds to the row's value is paired with each
-    of Right's replies, the tie or an overbid, that attains it.
+    Right holds each Left bid ``l`` to the tie, worth ``1 - prev[q + l]``,
+    or to its best overbid, which on a nondecreasing ``prev`` (property A)
+    is ``l + 1``, worth ``prev[p + l + 1] - 1``, as in :func:`_next_row`.
+    A Left bid of all of Right's money (``l = q``) leaves no overbid.  Every
+    Left bid held to the row's value is paired with each of Right's
+    replies, the tie or an overbid, that attains it.
     """
+    _require_monotone(prev)
     q = tb - p
-    held = _held_values(prev, p, _suffix_minima(prev))
+    held = [min(1 - prev[q + l], prev[p + l + 1] - 1) for l in range(min(p, q - 1) + 1)]
+    if q <= p:
+        held.append(1 - prev[2 * q])
     best = max(held)
     pairs = set()
     for l, worst in enumerate(held):
@@ -200,21 +189,24 @@ def _marker_left_bids(prev: tuple[int, ...], tb: int, p: int) -> frozenset[BidPa
     return frozenset(pairs)
 
 
+_FLIPPED = {
+    BidWinner.LEFT_STRICT: BidWinner.RIGHT_STRICT,
+    BidWinner.RIGHT_STRICT: BidWinner.LEFT_STRICT,
+    BidWinner.LEFT_TIE: BidWinner.RIGHT_TIE,
+    BidWinner.RIGHT_TIE: BidWinner.LEFT_TIE,
+}
+
+
 def _mirror(bid: BidPair) -> BidPair:
-    flip = {
-        BidWinner.LEFT_STRICT: BidWinner.RIGHT_STRICT,
-        BidWinner.RIGHT_STRICT: BidWinner.LEFT_STRICT,
-        BidWinner.LEFT_TIE: BidWinner.RIGHT_TIE,
-        BidWinner.RIGHT_TIE: BidWinner.LEFT_TIE,
-    }
-    return BidPair(bid.right_bid, bid.left_bid, flip[bid.winner])
+    return BidPair(bid.right_bid, bid.left_bid, _FLIPPED[bid.winner])
 
 
 def equilibrium_bids(table: OutcomeTable, pos: RichmanPosition) -> frozenset[BidPair]:
     """All bid pairs consistent with equilibrium play at ``pos``.
 
     Marker-Right cells are handled by mirroring the sides, which is exact
-    because the ruleset is symmetric.
+    because the ruleset is symmetric.  Raises :class:`RowNotMonotone` when
+    the row of heap ``pos.heap - 1`` decreases (property A fails).
     """
     if pos.tb != table.tb:
         raise ValueError(f"position for tb={pos.tb}, table for tb={table.tb}")

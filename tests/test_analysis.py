@@ -6,7 +6,6 @@ from bcs.analysis import (
     bid_graph,
     bid_graph_to_dot,
     bid_graph_to_json_dict,
-    check_domination_soundness,
     check_oracle_equivalence,
     forced_win_threshold,
     left_can_force_final_wins,
@@ -156,11 +155,6 @@ def test_json_export_shape():
     assert payload["edges"] == [
         {"from": 3, "to": 0, "label": "3W", "dominated": False}
     ]
-
-
-def test_domination_soundness():
-    for tb in (3, 5, 8):
-        assert check_domination_soundness(tb, 30).passed
 
 
 def test_oracle_equivalence_helper():

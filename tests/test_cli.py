@@ -519,6 +519,17 @@ def test_out_of_range_arguments_exit_usage(tmp_path, capsys, command):
             "node a\nnode b terminal 0\nedge L a b 1\nedge R a b -1\ntb 2\nbids 2\n",
             id="nobody-can-bid",
         ),
+        pytest.param(
+            "node a\nnode b terminal 0\nedge R a b 1 junk\ntb 1\nbids all\n",
+            id="edge-extra-token",
+        ),
+        pytest.param("node a terminal 0\ntb 1 7\nbids all\n", id="tb-extra-token"),
+        pytest.param("node a terminal 0\ntb 1\ntb 2\nbids all\n", id="second-tb"),
+        pytest.param("node a terminal 0\ntb 1\nbids all\nbids 0\n", id="second-bids"),
+        pytest.param(
+            "node a\nnode b terminal 0\nedge R a b 1\nedge R a b 2\ntb 1\nbids all\n",
+            id="second-edge",
+        ),
     ],
 )
 def test_malformed_ruleset_exits_usage(tmp_path, capsys, text):

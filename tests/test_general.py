@@ -238,6 +238,8 @@ def test_cycle_detection():
         parse_ruleset(
             "node a\nnode b\nedge L a b 1\nedge R b a 1\ntb 1\nbids all\n"
         )
+    with pytest.raises(CyclicRuleset, match="move graph contains a cycle"):
+        parse_ruleset("node a\nedge L a a 0\ntb 1\nbids all\n")  # a self-loop
 
 
 def test_parse_errors():

@@ -1,15 +1,24 @@
+import re
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bcs.cli import main
-from bcs.core import BidPair, BidWinner, GameError, InfeasibleBid, OutOfRange, Side, make_position
+from bcs.core import (
+    BidPair,
+    BidWinner,
+    GameError,
+    InfeasibleBid,
+    OutcomeTable,
+    OutOfRange,
+    Side,
+    make_position,
+)
 from bcs.solver import (
     ConvergenceBoundExceeded,
     RowNotMonotone,
-    _held_values,
     _marker_left_bids,
     _next_row,
-    _suffix_minima,
     equilibrium_bids,
     limit_rows,
     solve,
@@ -213,7 +222,18 @@ def test_kernel_matches_literal_recursion_on_monotone_rows(prev):
     row = _next_row(tb, prev)
     for p in range(tb + 1):
         options = _literal_responses(prev, p)
-        assert row[p] == max(min(v for _, v in replies) for replies in options.values())
+        held = {l: min(v for _, v in replies) for l, replies in options.items()}
+        best = max(held.values())
+        assert row[p] == best
+        # Every pair of the literal set is worth ``best``, the kernel's cell.
+        expected = {
+            bid
+            for l, replies in options.items()
+            if held[l] == best
+            for bid, v in replies
+            if v == best
+        }
+        assert _marker_left_bids(prev, tb, p) == expected
 
 
 def _crossings(prev):
@@ -293,25 +313,26 @@ def test_limit_rows_bound_is_inclusive(capsys, monkeypatch):
     assert captured.err.startswith("error: rows at")
 
 
-# Any integer row, monotone or not: the bid sets read Right's best overbid
-# as a suffix minimum, which relies on no property of the solved tables,
-# only on the overbids landing on a suffix.
+# The bid sets rest on property A, as the kernel does: a row with a descent
+# is refused with the kernel's message rather than read.
 @settings(max_examples=300)
-@given(st.lists(_ROW_ENTRIES, min_size=1, max_size=17))
+@given(
+    st.lists(_ROW_ENTRIES, min_size=2, max_size=17).filter(
+        lambda row: any(a > b for a, b in zip(row, row[1:]))
+    )
+)
 @example([3, -2, 5, 0, 1])
-def test_kernel_matches_literal_recursion_on_any_row(prev):
+def test_bid_sets_refuse_non_monotone_rows(prev):
     prev = tuple(prev)
     tb = len(prev) - 1
+    d = next(p for p in range(tb) if prev[p] > prev[p + 1])
+    message = re.escape(f"from {prev[d]} at budget {d} to {prev[d + 1]} at budget {d + 1}")
+    with pytest.raises(RowNotMonotone, match=message):
+        _next_row(tb, prev)
     for p in range(tb + 1):
-        options = _literal_responses(prev, p)
-        held = {l: min(v for _, v in replies) for l, replies in options.items()}
-        assert _held_values(prev, p, _suffix_minima(prev)) == [held[l] for l in sorted(held)]
-        best = max(held.values())
-        expected = {
-            bid
-            for l, replies in options.items()
-            if held[l] == best
-            for bid, v in replies
-            if v == best
-        }
-        assert _marker_left_bids(prev, tb, p) == expected
+        with pytest.raises(RowNotMonotone, match=message):
+            _marker_left_bids(prev, tb, p)
+    table = OutcomeTable(tb, ((0,) * (tb + 1), prev))
+    for marker in Side:
+        with pytest.raises(RowNotMonotone, match=message):
+            equilibrium_bids(table, make_position(tb, 2, 0, marker))
