@@ -196,22 +196,9 @@ def run_invariant_suite_on(table: OutcomeTable) -> list[InvariantReport]:
     ]
 
 
-def run_invariant_suite(tb: int, x_max: int) -> list[InvariantReport]:
-    """Solve up to ``x_max`` and run all ten invariant scans."""
-    return run_invariant_suite_on(solve(tb, x_max))
-
-
-class ForcedWinThreshold(NamedTuple):
-    """Minimal Left budget that forces winning the last ``x`` auctions."""
-
-    x: int
-    q: int
-    marker: Side
-    threshold: int
-
-
-def forced_win_threshold(x: int, q: int, marker: Side) -> ForcedWinThreshold:
-    """Closed-form budget needed to win ``x`` straight auctions.
+def forced_win_threshold(x: int, q: int, marker: Side) -> int:
+    """Closed-form Left budget needed to win ``x`` straight auctions against
+    ``q`` dollars.
 
     With the marker, ``(2^x - 1) q + 2^(x-1) - 1``; without it,
     ``(2^x - 1)(q + 1)``.
@@ -221,10 +208,8 @@ def forced_win_threshold(x: int, q: int, marker: Side) -> ForcedWinThreshold:
     if q < 0:
         raise ValueError(f"opponent budget must be >= 0, got {q}")
     if marker is Side.LEFT:
-        threshold = (2**x - 1) * q + 2 ** (x - 1) - 1
-    else:
-        threshold = (2**x - 1) * (q + 1)
-    return ForcedWinThreshold(x=x, q=q, marker=marker, threshold=threshold)
+        return (2**x - 1) * q + 2 ** (x - 1) - 1
+    return (2**x - 1) * (q + 1)
 
 
 def left_can_force_final_wins(x: int, p: int, q: int, marker: Side) -> bool:
@@ -269,7 +254,7 @@ def _forced_win_miss(tb: int, x: int) -> Counterexample | None:
     for marker in (Side.LEFT, Side.RIGHT):
         for p in range(tb + 1):
             q = tb - p
-            expected = p >= forced_win_threshold(x, q, marker).threshold
+            expected = p >= forced_win_threshold(x, q, marker)
             got = left_can_force_final_wins(x, p, q, marker)
             if got != expected:
                 return Counterexample(x, p, (int(expected), int(got)), f"marker={marker}")
@@ -285,15 +270,9 @@ class BidGraphKind(enum.Enum):
 
 
 class BidEdge(NamedTuple):
-    kind: BidGraphKind
-    bid: int
     src: int
     dst: int
     dominated: bool
-
-    @property
-    def label(self) -> str:
-        return f"{self.bid}{'T' if self.kind is BidGraphKind.TIE else 'W'}"
 
 
 class BidGraph(NamedTuple):
@@ -317,6 +296,11 @@ class BidGraph(NamedTuple):
     def nodes(self) -> tuple[int, ...]:
         return tuple(range(self.tb + 1))
 
+    @property
+    def label(self) -> str:
+        """Every edge's label: the bid, then ``T`` for a tie or ``W`` for a win."""
+        return f"{self.bid}{'T' if self.kind is BidGraphKind.TIE else 'W'}"
+
 
 def bid_graph(tb: int, kind: BidGraphKind, bid: int, reduced: bool = False) -> BidGraph:
     """Build the bid graph at one bid size, optionally erasing dominated bids."""
@@ -327,13 +311,13 @@ def bid_graph(tb: int, kind: BidGraphKind, bid: int, reduced: bool = False) -> B
         opp = tb - m
         if kind is BidGraphKind.TIE:
             if bid <= m and bid <= opp:
-                edges.append(BidEdge(kind, bid, m, opp + bid, dominated=False))
+                edges.append(BidEdge(m, opp + bid, dominated=False))
         elif kind is BidGraphKind.HOLDER_WIN:
             if bid <= m:
-                edges.append(BidEdge(kind, bid, m, m - bid, dominated=bid > opp + 1))
+                edges.append(BidEdge(m, m - bid, dominated=bid > opp + 1))
         else:
             if bid <= opp:
-                edges.append(BidEdge(kind, bid, m, m + bid, dominated=bid > m + 1))
+                edges.append(BidEdge(m, m + bid, dominated=bid > m + 1))
     if reduced:
         edges = [e for e in edges if not e.dominated]
     return BidGraph(tb=tb, kind=kind, bid=bid, reduced=reduced, edges=tuple(edges))
@@ -345,7 +329,7 @@ def bid_graph_to_dot(graph: BidGraph) -> str:
     for n in graph.nodes:
         lines.append(f"  n{n} [label=\"{n}\"];")
     for e in graph.edges:
-        lines.append(f"  n{e.src} -> n{e.dst} [label=\"{e.label}\"];")
+        lines.append(f"  n{e.src} -> n{e.dst} [label=\"{graph.label}\"];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -361,7 +345,7 @@ def bid_graph_to_json_dict(graph: BidGraph) -> dict:
             {
                 "from": e.src,
                 "to": e.dst,
-                "label": e.label,
+                "label": graph.label,
                 "dominated": e.dominated,
             }
             for e in graph.edges

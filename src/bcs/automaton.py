@@ -175,10 +175,6 @@ class ConvergenceReport(NamedTuple):
     matches: dict[str, str]
     diffs: dict[str, tuple[tuple[str, int, int, int], ...]]
 
-    @property
-    def limits_match_automaton(self) -> bool:
-        return any(v == "exact" for v in self.matches.values())
-
 
 def _compare(
     limits_even: tuple[int, ...],

@@ -13,15 +13,7 @@ import sys
 from typing import Iterable, Iterator, Sequence
 
 from . import analysis, automaton, general, solver
-from .core import (
-    BudgetOutOfRange,
-    GameError,
-    HeapNegative,
-    OutcomeTable,
-    Side,
-    classify_bid,
-    make_position,
-)
+from .core import GameError, OutcomeTable, Side, classify_bid, make_position
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -29,7 +21,7 @@ EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
 
 # Bad arguments and malformed input files; any other ``GameError`` is a failed check.
-_USAGE_ERRORS = (ValueError, OSError, BudgetOutOfRange, HeapNegative)
+_USAGE_ERRORS = (ValueError, OSError)
 
 
 def _emit(chunks: Iterable[str], out_path: str | None) -> None:
@@ -231,13 +223,15 @@ def cmd_check(args: argparse.Namespace) -> int:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{args.from_json} is not JSON: {exc}") from None
+            except RecursionError:
+                raise ValueError(f"{args.from_json} is nested too deep to read") from None
         table = load_outcome_table_json(data)
         reports = analysis.run_invariant_suite_on(table)
     else:
         x_max = args.x_max
         if x_max is None:
             x_max = automaton.convergence_bound(args.tb) + 2
-        reports = analysis.run_invariant_suite(args.tb, x_max)
+        reports = analysis.run_invariant_suite_on(solver.solve(args.tb, x_max))
         if args.with_oracle:
             reports.append(analysis.check_oracle_equivalence(args.tb, min(x_max, 40)))
 

@@ -21,11 +21,11 @@ class GameError(Exception):
     """Base class for all engine errors."""
 
 
-class HeapNegative(GameError):
+class HeapNegative(GameError, ValueError):
     """Raised when a heap size is negative."""
 
 
-class BudgetOutOfRange(GameError):
+class BudgetOutOfRange(GameError, ValueError):
     """Raised when a budget does not fit the total budget split."""
 
 

@@ -325,13 +325,14 @@ def parse_ruleset(text: str) -> GeneralRuleset:
         kind = parts[0].lower()
         try:
             if kind == "node":
+                terminal = len(parts) == 4 and parts[2].lower() == "terminal"
+                if len(parts) != 2 and not terminal:
+                    raise ValueError("expected 'node NAME [terminal PENALTY]'")
                 name = parts[1]
                 positions.append(name)
                 for side_edges in edges.values():
                     side_edges.setdefault(name, {})
-                if len(parts) > 2:
-                    if parts[2].lower() != "terminal" or len(parts) != 4:
-                        raise ValueError("expected 'node NAME [terminal PENALTY]'")
+                if terminal:
                     penalties[name] = int(parts[3])
             elif kind == "edge":
                 if len(parts) != 5:
@@ -350,12 +351,14 @@ def parse_ruleset(text: str) -> GeneralRuleset:
                     raise ValueError("second 'tb' directive")
                 tb = int(parts[1])
             elif kind == "bids":
+                if len(parts) == 1:
+                    raise ValueError("expected 'bids all' or 'bids B1,B2,...'")
                 if bids_text is not None:
                     raise ValueError("second 'bids' directive")
                 bids_text = line.split(None, 1)[1]
             else:
                 raise ValueError(f"unknown directive {kind!r}")
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise RulesetParseError(f"line {lineno}: {raw.strip()!r}: {exc}") from None
 
     if tb is None:

@@ -11,6 +11,12 @@ heap size, bottom-up: layer ``x`` holds a marker-Left and a marker-Right
 row, both computed from layer ``x - 1`` alone.  Nothing is cached beyond a
 call, and no recursion caps the heap size.
 
+:func:`bid_matrix` resolves every pair of bids with
+:func:`bcs.core.classify_bid`, the one rule of a turn, and reads the
+successor's value from the layer below.  The layer fill groups Right's
+replies into blocks instead, because it is the hot path of
+``bcs check --with-oracle``; the tests check it against the matrix.
+
 Intended for desk scale: a layer costs O(tb^3).
 """
 
@@ -18,23 +24,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import GameAlreadyOver, RichmanPosition, Side
+from .core import RichmanPosition, Side, classify_bid
 
 # ``layer[left_marker][p]``: the score with Left holding ``p`` dollars, for
 # a marker-Right holder at index 0 (False) and marker-Left at 1 (True).
 Layer = tuple[tuple[int, ...], tuple[int, ...]]
-
-
-def _resolved(prev: Layer, p: int, l: int, r: int, left_marker: bool) -> int:
-    """Score after resolving bids (l, r) with Left budget ``p`` and playing
-    on optimally, read from the layer one pebble down."""
-    if l > r:
-        return 1 + prev[left_marker][p - l]
-    if l < r:
-        return -1 + prev[left_marker][p + r]
-    if left_marker:
-        return 1 + prev[False][p - l]
-    return -1 + prev[True][p + r]
 
 
 def _maximin(prev: Layer, tb: int, p: int, left_marker: bool) -> int:
@@ -122,17 +116,20 @@ class BidMatrix(NamedTuple):
 
 
 def bid_matrix(tb: int, pos: RichmanPosition) -> BidMatrix:
-    """Populate the full bid matrix at ``pos`` (heap must be non-empty)."""
+    """Populate the full bid matrix at ``pos``: each entry is the winner's
+    point by :func:`bcs.core.classify_bid` (which refuses an empty heap)
+    plus the successor's value in the layer below."""
     if pos.tb != tb:
         raise ValueError(f"position built for tb={pos.tb}, asked for tb={tb}")
-    if pos.heap < 1:
-        raise GameAlreadyOver("no bidding on an empty heap")
-    p, q = pos.left_budget, pos.right_budget
-    prev, left_marker = oracle_table(tb, pos.heap - 1)[-1], pos.left_holds_marker
+    below = oracle_table(tb, max(pos.heap - 1, 0))[-1]
+
+    def entry(l: int, r: int) -> int:
+        bid, after = classify_bid(pos, l, r)
+        point = 1 if bid.winner.side is Side.LEFT else -1
+        return point + below[after.left_holds_marker][after.left_budget]
+
     entries = tuple(
-        tuple(_resolved(prev, p, l, r, left_marker) for l in range(p + 1))
-        for r in range(q + 1)
+        tuple(entry(l, r) for l in range(pos.left_budget + 1))
+        for r in range(pos.right_budget + 1)
     )
-    return BidMatrix(
-        tb=tb, heap=pos.heap, left_budget=p, marker=pos.marker, entries=entries
-    )
+    return BidMatrix(tb, pos.heap, pos.left_budget, pos.marker, entries)

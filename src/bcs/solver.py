@@ -23,10 +23,11 @@ O(tb) to value and O(tb^2) at most to list its bid pairs.
 
 Only marker-Left values are stored.  The value of a position where Right
 holds the marker is the zero-sum flip ``-row[q]``.  Row ``x`` depends only
-on row ``x - 1``; :func:`_rows` is the one loop that produces them, which
-:func:`solve` stacks and :func:`limit_rows` follows until they repeat.  Once
-a row equals the row two before it, every later row is a copy, so neither
-computes a row past the first 2-cycle.
+on row ``x - 1``, so once a row equals the row two before it, every later
+row is a copy.  :func:`_rows` is the one loop that produces rows and the one
+test for that 2-cycle: it stops before the first repeat, :func:`solve` pads
+its table with the last two rows in turn, and :func:`limit_rows` reads the
+limits off them.
 """
 
 from __future__ import annotations
@@ -39,10 +40,10 @@ from .automaton import convergence_bound
 from .core import (
     BidPair,
     BidWinner,
+    GameAlreadyOver,
     GameError,
     InfeasibleBid,
     OutcomeTable,
-    OutOfRange,
     RichmanPosition,
 )
 
@@ -108,17 +109,16 @@ def _next_row(tb: int, prev: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _rows(tb: int) -> Iterator[tuple[int, ...]]:
-    """Rows ``0, 1, 2, ...`` of the reduced recursion, without end.
+    """Rows ``0, 1, 2, ...`` of the reduced recursion, up to the first 2-cycle.
 
-    Row ``x + 1`` depends only on row ``x``, so once a row equals the row two
-    before it, the last two rows repeat in turn for ever and are yielded
-    without computing any more.
+    Stops before the first row that equals the row two before it.  Row
+    ``x + 1`` depends only on row ``x``, so from there the last two rows
+    yielded repeat in turn for ever.  At least two rows are yielded.
     """
     older, old, row = None, None, (0,) * (tb + 1)
     while row != older:
         yield row
         older, old, row = old, row, _next_row(tb, row)
-    yield from cycle((row, old))
 
 
 def solve(tb: int, x_max: int) -> OutcomeTable:
@@ -127,7 +127,9 @@ def solve(tb: int, x_max: int) -> OutcomeTable:
         raise ValueError(f"total budget must be >= 0, got {tb}")
     if x_max < 0:
         raise ValueError(f"x_max must be >= 0, got {x_max}")
-    return OutcomeTable(tb, tuple(islice(_rows(tb), x_max + 1)))
+    rows = list(islice(_rows(tb), x_max + 1))
+    rows += islice(cycle(rows[-2:]), x_max + 1 - len(rows))
+    return OutcomeTable(tb, tuple(rows))
 
 
 def value(table: OutcomeTable, pos: RichmanPosition) -> int:
@@ -149,7 +151,7 @@ def tie_conditioned_value(table: OutcomeTable, pos: RichmanPosition, l: int) -> 
     if not pos.left_holds_marker:
         raise ValueError("tie-conditioned values are defined for marker-Left positions")
     if pos.heap < 1:
-        raise OutOfRange("no bidding on an empty heap")
+        raise GameAlreadyOver("no bidding on an empty heap")
     if l < 0 or l > pos.left_budget or l > pos.right_budget:
         raise InfeasibleBid(
             f"tie at {l} infeasible with budgets "
@@ -211,7 +213,7 @@ def equilibrium_bids(table: OutcomeTable, pos: RichmanPosition) -> frozenset[Bid
     if pos.tb != table.tb:
         raise ValueError(f"position for tb={pos.tb}, table for tb={table.tb}")
     if pos.heap < 1:
-        raise OutOfRange("no bidding on an empty heap")
+        raise GameAlreadyOver("no bidding on an empty heap")
     prev = table.row(pos.heap - 1)
     if pos.left_holds_marker:
         return _marker_left_bids(prev, table.tb, pos.left_budget)
@@ -228,26 +230,24 @@ class LimitRows(NamedTuple):
 def limit_rows(tb: int) -> LimitRows:
     """Stabilized per-parity rows and the heap size where they settle.
 
-    Follows the rows up to the first heap ``k`` with ``rows[k] ==
-    rows[k - 2]``.  Row ``x + 1`` depends only on row ``x``, so every later
-    row repeats with period 2, no earlier pair of same-parity rows two apart
-    agrees, and ``x_star = k - 2`` is the smallest heap size from which all
-    of them agree.  Only the last three rows are held; each costs O(tb) in
-    :func:`_next_row`, which walks the crossing from budget to budget and
-    raises :class:`RowNotMonotone` on a row that breaks property A.  A first
-    repeat past ``B(tb) + 2``, for the convergence bound ``B(tb)``, is a
-    hard error: that would contradict the quadratic convergence guarantee.
+    Follows the rows up to the last heap ``x`` before the first 2-cycle:
+    ``rows[x + 1] == rows[x - 1]``.  Row ``x + 1`` depends only on row
+    ``x``, so every later row repeats with period 2, no earlier pair of
+    same-parity rows two apart agrees, and ``x_star = x - 1`` is the
+    smallest heap size from which all of them agree.  Only the last three
+    rows are held; each costs O(tb) in :func:`_next_row`, which walks the
+    crossing from budget to budget and raises :class:`RowNotMonotone` on a
+    row that breaks property A.  A first repeat past ``B(tb) + 2``, for the
+    convergence bound ``B(tb)``, is a hard error: that would contradict the
+    quadratic convergence guarantee.
     """
     bound = convergence_bound(tb)
     older = old = None
-    for k, row in enumerate(_rows(tb)):
-        if row == older:
-            break
-        if k >= bound + 2:
+    for x, row in enumerate(_rows(tb)):
+        if x >= bound + 2:
             raise ConvergenceBoundExceeded(
                 f"rows at {bound} and {bound + 2} still differ for tb={tb}"
             )
         older, old = old, row
-    if k % 2 == 0:
-        return LimitRows(even_row=row, odd_row=old, x_star=k - 2)
-    return LimitRows(even_row=old, odd_row=row, x_star=k - 2)
+    even, odd = (older, old) if x % 2 else (old, older)
+    return LimitRows(even_row=even, odd_row=odd, x_star=x - 1)

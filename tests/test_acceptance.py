@@ -142,17 +142,17 @@ def test_criterion_08_forced_win_sharpness():
         for x in range(1, 5):
             for q in range(7):
                 for marker in (Side.LEFT, Side.RIGHT):
-                    threshold = forced_win_threshold(x, q, marker).threshold
+                    threshold = forced_win_threshold(x, q, marker)
                     assert left_can_force_final_wins(x, threshold, q, marker)
                     if threshold > 0:
                         assert not left_can_force_final_wins(
                             x, threshold - 1, q, marker
                         )
         for q in range(7):
-            assert forced_win_threshold(2, q, Side.LEFT).threshold == 3 * q + 1
-            assert forced_win_threshold(3, q, Side.LEFT).threshold == 7 * q + 3
-            assert forced_win_threshold(2, q, Side.RIGHT).threshold == 3 * q + 3
-            assert forced_win_threshold(3, q, Side.RIGHT).threshold == 7 * q + 7
+            assert forced_win_threshold(2, q, Side.LEFT) == 3 * q + 1
+            assert forced_win_threshold(3, q, Side.LEFT) == 7 * q + 3
+            assert forced_win_threshold(2, q, Side.RIGHT) == 3 * q + 3
+            assert forced_win_threshold(3, q, Side.RIGHT) == 7 * q + 7
 
     _, elapsed = _timed(10.0, sweep)
     print(f"PASS criterion 8: forced-win thresholds sharp ({elapsed:.2f}s)")
@@ -187,11 +187,11 @@ def test_criterion_11_conjecture_harness():
             f"  tb={tb}: x_star={report.x_star} bound={report.bound} "
             f"closure={report.update_rule_holds} {verdicts}"
         )
-        if not report.limits_match_automaton:
+        if "exact" not in report.matches.values():
             for mode, cells in report.diffs.items():
                 lines.append(f"    {mode} diffs: {cells}")
     tb8 = conjecture_report(8)
-    assert tb8.limits_match_automaton
+    assert tb8.matches == {"alpha": "exact"}
     assert automaton_fixed_point(8).even_state == tb8.even_row
     print("PASS criterion 11: conjecture harness report")
     print("\n".join(lines))

@@ -9,7 +9,6 @@ from bcs.analysis import (
     check_oracle_equivalence,
     forced_win_threshold,
     left_can_force_final_wins,
-    run_invariant_suite,
     run_invariant_suite_on,
     verify_forced_wins,
 )
@@ -23,7 +22,7 @@ def test_ten_invariants_exist():
 
 def test_suite_passes_desk_scale():
     for tb in (0, 5, 9):
-        reports = run_invariant_suite(tb, 30)
+        reports = run_invariant_suite_on(solve(tb, 30))
         assert [r.name for r in reports] == list(INVARIANT_NAMES)
         assert all(r.passed for r in reports), [str(r) for r in reports]
 
@@ -56,14 +55,14 @@ def test_outcome_band_is_ceiling_not_floor():
 
 
 def test_forced_win_threshold_closed_forms():
-    assert forced_win_threshold(1, 7, Side.LEFT).threshold == 7
-    assert forced_win_threshold(2, 1, Side.LEFT).threshold == 4
-    assert forced_win_threshold(2, 1, Side.RIGHT).threshold == 6
+    assert forced_win_threshold(1, 7, Side.LEFT) == 7
+    assert forced_win_threshold(2, 1, Side.LEFT) == 4
+    assert forced_win_threshold(2, 1, Side.RIGHT) == 6
     for q in range(7):
-        assert forced_win_threshold(2, q, Side.LEFT).threshold == 3 * q + 1
-        assert forced_win_threshold(3, q, Side.LEFT).threshold == 7 * q + 3
-        assert forced_win_threshold(2, q, Side.RIGHT).threshold == 3 * q + 3
-        assert forced_win_threshold(3, q, Side.RIGHT).threshold == 7 * q + 7
+        assert forced_win_threshold(2, q, Side.LEFT) == 3 * q + 1
+        assert forced_win_threshold(3, q, Side.LEFT) == 7 * q + 3
+        assert forced_win_threshold(2, q, Side.RIGHT) == 3 * q + 3
+        assert forced_win_threshold(3, q, Side.RIGHT) == 7 * q + 7
     with pytest.raises(ValueError):
         forced_win_threshold(0, 1, Side.LEFT)
 

@@ -132,7 +132,6 @@ def test_outcome_bounds_contain_solver_values(tb):
 def test_conjecture_report_tb8():
     report = conjecture_report(8)
     assert report.matches == {"alpha": "exact"}
-    assert report.limits_match_automaton
     assert report.update_rule_holds
     assert report.x_star <= report.bound + 2
 

@@ -456,6 +456,7 @@ def _table_text(**changes):
             _table_text(rows=[{"x": 0, "values": [0, 0]}, {"x": 1, "values": [-1, True]}]),
             id="bool-value",
         ),
+        pytest.param("[" * 1000, id="nested-too-deep"),
     ],
 )
 def test_check_from_json_rejects_malformed_table(tmp_path, capsys, text):
@@ -467,6 +468,8 @@ def test_check_from_json_rejects_malformed_table(tmp_path, capsys, text):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    if not text.startswith("{"):  # refused by the JSON reader, which names the file
+        assert str(path) in err
 
 
 @pytest.mark.parametrize(
@@ -530,6 +533,8 @@ def test_out_of_range_arguments_exit_usage(tmp_path, capsys, command):
             "node a\nnode b terminal 0\nedge R a b 1\nedge R a b 2\ntb 1\nbids all\n",
             id="second-edge",
         ),
+        pytest.param("node\nnode a terminal 0\ntb 1\nbids all\n", id="node-no-name"),
+        pytest.param("node a terminal 0\ntb 1\nbids\n", id="bids-no-argument"),
     ],
 )
 def test_malformed_ruleset_exits_usage(tmp_path, capsys, text):
@@ -539,6 +544,7 @@ def test_malformed_ruleset_exits_usage(tmp_path, capsys, text):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "list index out of range" not in err
 
 
 @pytest.mark.parametrize(
@@ -610,7 +616,7 @@ def test_cli_import_path_is_lean():
 def test_lazy_layers_run_on_first_use():
     code = (
         "import bcs\n"
-        "print(all(r.passed for r in bcs.analysis.run_invariant_suite(4, 6)))\n"
+        "print(all(r.passed for r in bcs.analysis.run_invariant_suite_on(bcs.solve(4, 6))))\n"
         "from bcs.general import parse_ruleset\n"
         "print(parse_ruleset('node a terminal 1\\ntb 2\\nbids all\\n').tb)\n"
     )

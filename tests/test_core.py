@@ -41,6 +41,12 @@ def test_make_position_examples():
         make_position(-1, 0, 0, Side.LEFT)
 
 
+@pytest.mark.parametrize("tb, heap, p", [(5, 2, 6), (5, 2, -1), (5, -1, 0), (-1, 0, 0)])
+def test_bad_position_is_a_value_error(tb, heap, p):
+    with pytest.raises(ValueError):
+        make_position(tb, heap, p, Side.LEFT)
+
+
 def test_classify_bid_tie_goes_to_marker_holder():
     pos = make_position(5, 2, 1, Side.LEFT)
     bid, nxt = classify_bid(pos, 1, 1)
@@ -194,7 +200,6 @@ def _one_of_each_record():
         u_report,
         report.counterexample,
         report,
-        analysis.forced_win_threshold(1, 1, Side.LEFT),
         graph.edges[0],
         graph,
         automaton.automaton_fixed_point(2),

@@ -53,7 +53,8 @@ def test_bid_matrix_rejects_empty_heap():
 
 
 def test_matrix_saddle_everywhere_small():
-    # every layer value is the saddle of the bid matrix at that cell
+    # every value of the block-wise layer fill is the saddle of the bid matrix
+    # at that cell, whose entries resolve each turn with ``classify_bid``
     for tb in range(5):
         layers = oracle_table(tb, 7)
         for x in range(1, 8):

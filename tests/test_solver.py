@@ -1,4 +1,5 @@
 import re
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,6 +8,7 @@ from bcs.cli import main
 from bcs.core import (
     BidPair,
     BidWinner,
+    GameAlreadyOver,
     GameError,
     InfeasibleBid,
     OutcomeTable,
@@ -19,6 +21,7 @@ from bcs.solver import (
     RowNotMonotone,
     _marker_left_bids,
     _next_row,
+    _rows,
     equilibrium_bids,
     limit_rows,
     solve,
@@ -119,6 +122,15 @@ def test_tie_conditioned_value_examples():
 
     full = solve(3, 1)
     assert tie_conditioned_value(full, make_position(3, 1, 3, Side.LEFT), 0) == 1
+
+
+def test_no_bidding_on_an_empty_heap():
+    table = solve(5, 2)
+    for marker in (Side.LEFT, Side.RIGHT):
+        with pytest.raises(GameAlreadyOver):
+            equilibrium_bids(table, make_position(5, 0, 2, marker))
+    with pytest.raises(GameAlreadyOver):
+        tie_conditioned_value(table, make_position(5, 0, 2, Side.LEFT), 0)
 
 
 def test_tie_conditioned_value_requires_marker():
@@ -290,6 +302,11 @@ def test_limit_rows_stops_at_the_first_two_cycle(monkeypatch):
     limits = limit_rows(8)
     assert limits.x_star == 11
     assert len(calls) == limits.x_star + 2  # rows 1..k, k = x_star + 2
+    # ``_rows`` stops before row k, the first that repeats the row two before.
+    calls.clear()
+    rows = list(islice(_rows(8), 100))  # bounded, should ``_rows`` run on
+    assert len(rows) == len(calls) == limits.x_star + 2
+    assert rows[-1] != rows[-3] and _next_row(8, rows[-1]) == rows[-2]
     # ``solve`` computes the same rows and copies the 2-cycle past them.
     calls.clear()
     rows = solve(8, 100).rows
