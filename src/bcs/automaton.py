@@ -37,6 +37,9 @@ class ParityError(GameError):
 BetaMode = Literal["euclidean", "truncated"]
 BETA_MODES: tuple[BetaMode, ...] = ("euclidean", "truncated")
 
+# An ``(even, odd)`` pair: one value per budget split ``p`` on each heap parity.
+Rows = tuple[tuple[int, ...], tuple[int, ...]]
+
 
 def iota(n: int) -> int:
     """1 for positive arguments, else 0."""
@@ -102,35 +105,20 @@ def convergence_bound(tb: int) -> int:
     return 1 + (half + 1) ** 2 - half
 
 
-class AutomatonTable(NamedTuple):
-    """Per-parity state values of the zero-bid automaton.
-
-    ``even_state[p]`` / ``odd_state[p]`` are the values attached to budget
-    split ``p`` on even and odd heap parities.
-    """
-
-    tb: int
-    even_state: tuple[int, ...]
-    odd_state: tuple[int, ...]
-
-    def state(self, parity: Literal["even", "odd"]) -> tuple[int, ...]:
-        return self.even_state if parity == "even" else self.odd_state
-
-    def update_rule_holds(self) -> bool:
-        """Check ``A(j, p) = 1 - A(j', q)`` at every node."""
-        tb = self.tb
-        return all(
-            self.even_state[p] == 1 - self.odd_state[tb - p] for p in range(tb + 1)
-        )
+def update_rule_holds(rows: Rows) -> bool:
+    """Check ``A(j, p) = 1 - A(j', q)`` at every node of an ``(even, odd)`` pair."""
+    even, odd = rows
+    return all(e == 1 - o for e, o in zip(even, reversed(odd), strict=True))
 
 
-def automaton_fixed_point(tb: int, beta_mode: BetaMode = "truncated") -> AutomatonTable:
-    """Build the automaton table from a closed-form state plus the update rule.
+def automaton_fixed_point(tb: int, beta_mode: BetaMode = "truncated") -> Rows:
+    """The automaton's ``(even, odd)`` states from a closed form plus the update rule.
 
-    Even total budgets take ``alpha_even`` on the even state; odd total
-    budgets take ``beta`` on the odd state, whose values have odd parity as
-    the score parity law demands.  The other state always comes from the
-    update rule.
+    ``even[p]`` / ``odd[p]`` are the values attached to budget split ``p``
+    on even and odd heap parities.  Even total budgets take ``alpha_even``
+    on the even state; odd total budgets take ``beta`` on the odd state,
+    whose values have odd parity as the score parity law demands.  The
+    other state always comes from the update rule.
     """
     if tb < 0:
         raise ValueError(f"total budget must be >= 0, got {tb}")
@@ -140,11 +128,11 @@ def automaton_fixed_point(tb: int, beta_mode: BetaMode = "truncated") -> Automat
     else:
         odd = tuple(beta(2 * p - tb, beta_mode) for p in range(tb + 1))
         even = tuple(1 - odd[tb - p] for p in range(tb + 1))
-    return AutomatonTable(tb=tb, even_state=even, odd_state=odd)
+    return even, odd
 
 
-def closed_form_tables(tb: int) -> dict[str, AutomatonTable]:
-    """The automaton tables the closed forms give, by mode name.
+def closed_form_tables(tb: int) -> dict[str, Rows]:
+    """The automaton's ``(even, odd)`` states the closed forms give, by mode name.
 
     ``alpha`` for even total budgets; ``beta_euclidean`` and
     ``beta_truncated`` for odd ones.
@@ -166,60 +154,36 @@ class ConvergenceReport(NamedTuple):
     form.
     """
 
-    tb: int
-    bound: int
-    x_star: int
-    even_row: tuple[int, ...]
-    odd_row: tuple[int, ...]
     update_rule_holds: bool
     matches: dict[str, str]
     diffs: dict[str, tuple[tuple[str, int, int, int], ...]]
 
 
-def _compare(
-    limits_even: tuple[int, ...],
-    limits_odd: tuple[int, ...],
-    table: AutomatonTable,
-) -> tuple[str, tuple[tuple[str, int, int, int], ...]]:
-    if table.even_state == limits_even and table.odd_state == limits_odd:
+def _compare(rows: Rows, state: Rows) -> tuple[str, tuple[tuple[str, int, int, int], ...]]:
+    if state == rows:
         return "exact", ()
-    if table.even_state == limits_odd and table.odd_state == limits_even:
+    if state == rows[::-1]:
         return "swapped", ()
-    diffs = []
-    for parity, limit_row in (("even", limits_even), ("odd", limits_odd)):
-        state = table.state(parity)  # type: ignore[arg-type]
-        for p, (a, b) in enumerate(zip(limit_row, state)):
-            if a != b:
-                diffs.append((parity, p, a, b))
-    return "none", tuple(diffs)
+    diffs = tuple(
+        (parity, p, a, b)
+        for parity, limit_row, state_row in zip(("even", "odd"), rows, state)
+        for p, (a, b) in enumerate(zip(limit_row, state_row))
+        if a != b
+    )
+    return "none", diffs
 
 
-def conjecture_report(tb: int) -> ConvergenceReport:
-    """Probe whether the limit outcomes equal the automaton entries.
+def conjecture_report(rows: Rows) -> ConvergenceReport:
+    """Probe whether the ``(even, odd)`` limit rows equal the automaton entries.
 
     This is a harness for an open question: mismatches are reported in
-    full, never raised.  The update-rule closure of the solver limits is
+    full, never raised.  The update-rule closure of the limit rows is
     checked separately from any closed-form seed.
     """
-    from .solver import limit_rows
-
-    limits = limit_rows(tb)
-    even, odd = limits.even_row, limits.odd_row
-
     matches: dict[str, str] = {}
     diffs: dict[str, tuple[tuple[str, int, int, int], ...]] = {}
-    for name, table in closed_form_tables(tb).items():
-        matches[name], cells = _compare(even, odd, table)
+    for name, state in closed_form_tables(len(rows[0]) - 1).items():
+        matches[name], cells = _compare(rows, state)
         if matches[name] != "exact":
             diffs[name] = cells
-
-    return ConvergenceReport(
-        tb=tb,
-        bound=convergence_bound(tb),
-        x_star=limits.x_star,
-        even_row=even,
-        odd_row=odd,
-        update_rule_holds=AutomatonTable(tb, even, odd).update_rule_holds(),
-        matches=matches,
-        diffs=diffs,
-    )
+    return ConvergenceReport(update_rule_holds(rows), matches, diffs)

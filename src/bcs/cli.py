@@ -141,22 +141,29 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _limit_fields(tb: int) -> tuple[automaton.Rows, dict, str]:
+    """The ``(even, odd)`` limit rows of ``tb``, their JSON fields ``tb``,
+    ``bound``, ``x_star``, ``even`` and ``odd``, and their text header."""
+    limits = solver.limit_rows(tb)
+    bound = automaton.convergence_bound(tb)
+    fields = {
+        "tb": tb,
+        "bound": bound,
+        "x_star": limits.x_star,
+        "even": limits.even_row,
+        "odd": limits.odd_row,
+    }
+    header = f"tb = {tb}  B(tb) = {bound}  x_star = {limits.x_star}\n"
+    return (limits.even_row, limits.odd_row), fields, header
+
+
 def cmd_limits(args: argparse.Namespace) -> int:
-    bound = automaton.convergence_bound(args.tb)
-    limits = solver.limit_rows(args.tb)
+    rows, fields, header = _limit_fields(args.tb)
     if args.format == "json":
-        payload = {
-            "tb": args.tb,
-            "bound": bound,
-            "x_star": limits.x_star,
-            "even": list(limits.even_row),
-            "odd": list(limits.odd_row),
-        }
-        _emit(_json(payload), args.out)
+        _emit(_json(fields), args.out)
     else:
-        header = f"tb = {args.tb}  B(tb) = {bound}  x_star = {limits.x_star}\n"
-        labels, rows = ("x even", "x odd"), (limits.even_row, limits.odd_row)
-        _emit([header, *_budget_columns(args.tb, "p^", labels, rows)], args.out)
+        columns = _budget_columns(args.tb, "p^", ("x even", "x odd"), rows)
+        _emit([header, *columns], args.out)
     return EXIT_OK
 
 
@@ -174,9 +181,17 @@ def _report_payload(report: analysis.InvariantReport) -> dict:
     }
 
 
+def _read_text(path: str) -> str:
+    """The text of the input file ``path``, which must be UTF-8."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path} is not UTF-8: {exc}") from None
+
+
 def _check_ruleset(args: argparse.Namespace) -> int:
-    with open(args.ruleset, encoding="utf-8") as fh:
-        ruleset = general.parse_ruleset(fh.read())
+    ruleset = general.parse_ruleset(_read_text(args.ruleset))
     report = general.check_property_U(ruleset)
     if args.format == "json":
         payload = {
@@ -218,13 +233,12 @@ def cmd_check(args: argparse.Namespace) -> int:
         return _check_ruleset(args)
 
     if args.from_json is not None:
-        with open(args.from_json, encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{args.from_json} is not JSON: {exc}") from None
-            except RecursionError:
-                raise ValueError(f"{args.from_json} is nested too deep to read") from None
+        try:
+            data = json.loads(_read_text(args.from_json))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{args.from_json} is not JSON: {exc}") from None
+        except RecursionError:
+            raise ValueError(f"{args.from_json} is nested too deep to read") from None
         table = load_outcome_table_json(data)
         reports = analysis.run_invariant_suite_on(table)
     else:
@@ -255,49 +269,40 @@ def cmd_automaton(args: argparse.Namespace) -> int:
             "tb": tb,
             "bound": bound,
             "tables": {
-                name: {"even": list(t.even_state), "odd": list(t.odd_state)}
-                for name, t in tables.items()
+                name: {"even": even, "odd": odd}
+                for name, (even, odd) in tables.items()
             },
         }
         _emit(_json(payload), args.out)
     else:
         chunks = [f"tb = {tb}  B(tb) = {bound}\n"]
-        for name, t in tables.items():
-            verdict = "holds" if t.update_rule_holds() else "FAILS"
+        for name, rows in tables.items():
+            verdict = "holds" if automaton.update_rule_holds(rows) else "FAILS"
             chunks.append(f"seed {name} (update rule: {verdict})\n")
-            labels, rows = ("x even", "x odd"), (t.even_state, t.odd_state)
-            chunks += _budget_columns(tb, "p^", labels, rows)
+            chunks += _budget_columns(tb, "p^", ("x even", "x odd"), rows)
         _emit(chunks, args.out)
     return EXIT_OK
 
 
 def cmd_conjecture(args: argparse.Namespace) -> int:
-    report = automaton.conjecture_report(args.tb)
+    rows, fields, header = _limit_fields(args.tb)
+    report = automaton.conjecture_report(rows)
     if args.format == "json":
         payload = {
-            "tb": report.tb,
-            "bound": report.bound,
-            "x_star": report.x_star,
-            "even": list(report.even_row),
-            "odd": list(report.odd_row),
+            **fields,
             "update_rule_holds": report.update_rule_holds,
             "matches": report.matches,
-            "diffs": {
-                name: [list(d) for d in cells] for name, cells in report.diffs.items()
-            },
+            "diffs": report.diffs,
         }
         _emit(_json(payload), args.out)
     else:
-        lines = [
-            f"tb = {report.tb}  B(tb) = {report.bound}  x_star = {report.x_star}",
-            f"update rule on solver limits: "
-            f"{'holds' if report.update_rule_holds else 'FAILS'}",
-        ]
+        closure = "holds" if report.update_rule_holds else "FAILS"
+        lines = [f"update rule on solver limits: {closure}"]
         for name, verdict in report.matches.items():
             lines.append(f"{name}: {verdict}")
             for parity, p, limit, entry in report.diffs.get(name, ()):
                 lines.append(f"  {parity} p={p}: limit {limit} vs automaton {entry}")
-        _emit(["\n".join(lines) + "\n"], args.out)
+        _emit([header, "\n".join(lines) + "\n"], args.out)
     return EXIT_OK if report.update_rule_holds else EXIT_CHECK_FAILED
 
 

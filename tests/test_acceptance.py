@@ -179,19 +179,20 @@ def test_criterion_10_alpha_duality():
 def test_criterion_11_conjecture_harness():
     lines = []
     for tb in range(13):
-        report = conjecture_report(tb)
+        limits, bound = limit_rows(tb), convergence_bound(tb)
+        report = conjecture_report((limits.even_row, limits.odd_row))
         assert report.matches, "harness must always produce verdicts"
-        assert report.x_star <= report.bound + 2
+        assert limits.x_star <= bound + 2
         verdicts = ", ".join(f"{k}={v}" for k, v in sorted(report.matches.items()))
         lines.append(
-            f"  tb={tb}: x_star={report.x_star} bound={report.bound} "
+            f"  tb={tb}: x_star={limits.x_star} bound={bound} "
             f"closure={report.update_rule_holds} {verdicts}"
         )
         if "exact" not in report.matches.values():
             for mode, cells in report.diffs.items():
                 lines.append(f"    {mode} diffs: {cells}")
-    tb8 = conjecture_report(8)
-    assert tb8.matches == {"alpha": "exact"}
-    assert automaton_fixed_point(8).even_state == tb8.even_row
+    tb8 = limit_rows(8)
+    assert conjecture_report((tb8.even_row, tb8.odd_row)).matches == {"alpha": "exact"}
+    assert automaton_fixed_point(8)[0] == tb8.even_row
     print("PASS criterion 11: conjecture harness report")
     print("\n".join(lines))

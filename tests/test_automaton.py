@@ -10,6 +10,7 @@ from bcs.automaton import (
     conjecture_report,
     convergence_bound,
     iota,
+    update_rule_holds,
 )
 from bcs.solver import _next_row, limit_rows, solve
 
@@ -78,32 +79,28 @@ def test_beta_truncated_breaks_duality():
 
 
 def test_fixed_point_tb8_equals_limits():
-    table = automaton_fixed_point(8)
-    assert table.even_state == TB8_EVEN_LIMIT
-    assert table.odd_state == TB8_ODD_LIMIT
-    assert table.update_rule_holds()
+    rows = automaton_fixed_point(8)
+    assert rows == (TB8_EVEN_LIMIT, TB8_ODD_LIMIT)
+    assert update_rule_holds(rows)
 
 
 def test_fixed_point_tb9_truncated_equals_limits():
-    table = automaton_fixed_point(9, beta_mode="truncated")
-    assert table.even_state == TB9_EVEN_LIMIT
-    assert table.odd_state == TB9_ODD_LIMIT
-    assert table.update_rule_holds()
+    rows = automaton_fixed_point(9, beta_mode="truncated")
+    assert rows == (TB9_EVEN_LIMIT, TB9_ODD_LIMIT)
+    assert update_rule_holds(rows)
     # the duality-respecting mode cannot produce single-parity rows
-    euclid = automaton_fixed_point(9, beta_mode="euclidean")
-    assert euclid.odd_state != TB9_ODD_LIMIT
+    _, euclid_odd = automaton_fixed_point(9, beta_mode="euclidean")
+    assert euclid_odd != TB9_ODD_LIMIT
 
 
 def test_fixed_point_tb9_update_entries():
-    table = automaton_fixed_point(9, beta_mode="truncated")
-    assert table.odd_state[9] == 5
-    assert table.even_state[9] == 1 - table.odd_state[0] == 6
+    even, odd = automaton_fixed_point(9, beta_mode="truncated")
+    assert odd[9] == 5
+    assert even[9] == 1 - odd[0] == 6
 
 
 def test_fixed_point_tb0():
-    table = automaton_fixed_point(0)
-    assert table.even_state == (0,)
-    assert table.odd_state == (1,)
+    assert automaton_fixed_point(0) == ((0,), (1,))
 
 
 def test_convergence_bound_values():
@@ -119,9 +116,9 @@ def test_convergence_bound_values():
 def test_outcome_bounds_contain_solver_values(tb):
     x_max = convergence_bound(tb) + 2
     table = solve(tb, x_max)
-    automaton = automaton_fixed_point(tb)
+    states = automaton_fixed_point(tb)
     for x in range(x_max + 1):
-        entries = automaton.state("even" if x % 2 == 0 else "odd")
+        entries = states[x % 2]
         for p, v in enumerate(table.row(x)):
             if 2 * p >= tb:
                 assert v <= entries[p]
@@ -129,15 +126,20 @@ def test_outcome_bounds_contain_solver_values(tb):
                 assert v >= entries[p]
 
 
+def _limit_pair(tb):
+    limits = limit_rows(tb)
+    return limits.even_row, limits.odd_row
+
+
 def test_conjecture_report_tb8():
-    report = conjecture_report(8)
+    report = conjecture_report(_limit_pair(8))
     assert report.matches == {"alpha": "exact"}
     assert report.update_rule_holds
-    assert report.x_star <= report.bound + 2
+    assert limit_rows(8).x_star <= convergence_bound(8) + 2
 
 
 def test_conjecture_report_tb9():
-    report = conjecture_report(9)
+    report = conjecture_report(_limit_pair(9))
     assert report.update_rule_holds
     assert report.matches["beta_truncated"] == "exact"
     assert report.matches["beta_euclidean"] == "none"
@@ -145,15 +147,28 @@ def test_conjecture_report_tb9():
 
 
 def test_conjecture_report_tb1():
-    report = conjecture_report(1)
-    assert report.even_row == (0, 2)
-    assert report.odd_row == (-1, 1)
-    assert report.update_rule_holds
+    assert _limit_pair(1) == ((0, 2), (-1, 1))
+    assert conjecture_report(_limit_pair(1)).update_rule_holds
+
+
+def test_update_rule_fails_on_a_pair_that_breaks_it():
+    assert not update_rule_holds(((0,), (0,)))
+    assert not update_rule_holds(((0, 2), (-1, 2)))
+    report = conjecture_report(((0,), (0,)))
+    assert not report.update_rule_holds
+    assert report.matches == {"alpha": "none"}
+    assert report.diffs == {"alpha": (("odd", 0, 0, 1),)}
+
+
+def test_conjecture_report_swapped_pair():
+    even, odd = automaton_fixed_point(8)
+    assert conjecture_report((odd, even)).matches == {"alpha": "swapped"}
+    assert conjecture_report((odd, even)).diffs == {"alpha": ()}
 
 
 def test_update_rule_closure_small_sweep():
     for tb in range(8):
-        report = conjecture_report(tb)
+        report = conjecture_report(_limit_pair(tb))
         assert report.update_rule_holds, tb
 
 
@@ -183,7 +198,7 @@ def test_limit_rows_match_the_full_table(tb):
 
 @pytest.mark.parametrize("tb", SWEEP)
 def test_closed_forms_match_limits_sweep(tb):
-    matches = conjecture_report(tb).matches
+    matches = conjecture_report(_limit_pair(tb)).matches
     if tb % 2 == 0:
         assert matches == {"alpha": "exact"}
     else:

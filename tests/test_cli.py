@@ -177,6 +177,31 @@ def test_conjecture_text(capsys):
     assert "beta_euclidean: none" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_conjecture_calls_limit_rows_once(capsys, monkeypatch, fmt):
+    calls, limit_rows = [], solver.limit_rows
+
+    def counted(tb):
+        calls.append(tb)
+        return limit_rows(tb)
+
+    monkeypatch.setattr("bcs.solver.limit_rows", counted)
+    assert run_cli(capsys, "conjecture", "--tb", "8", "--format", fmt)[0] == 0
+    assert calls == [8]
+
+
+def test_conjecture_exits_1_when_the_limits_break_the_update_rule(capsys, monkeypatch):
+    monkeypatch.setattr(
+        "bcs.solver.limit_rows", lambda tb: solver.LimitRows((0,), (0,), 0)
+    )
+    code, out, _ = run_cli(capsys, "conjecture", "--tb", "0")
+    assert code == 1
+    assert "update rule on solver limits: FAILS" in out
+    code, out, _ = run_cli(capsys, "conjecture", "--tb", "0", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["update_rule_holds"] is False
+
+
 def test_bids_dot_golden(capsys):
     code, out, _ = run_cli(
         capsys, "bids", "--tb", "5", "--kind", "tie", "--bid", "0", "--format", "dot"
@@ -314,6 +339,12 @@ GOLDEN_CORPUS = [
     ("solve --tb 48 --x-max 579 --format json", 0, "84a183832ea729364fb2690eda888180f99d649fef6a7c785e05fd27c5f631a3"),
     ("solve --tb 24 --x-max 147 --format csv", 0, "0698d0bd0f95a4f875e0df2d0967145a7dc4270ccd1113929ccdfcd6d3f9d962"),
     ("solve --tb 24 --x-max 147", 0, "5feb7dcf522ee5557709f5b8458060add0d602a48ba4453341525c24190a87a6"),
+    # The (even, odd) pair at its edges: tb 0 and 1, and an odd tb in JSON.
+    ("conjecture --tb 0", 0, "f7e526bc40f064a5ed368cbac11cbebe050ead767c25cf4c1f2f731daa01a066"),
+    ("conjecture --tb 1 --format json", 0, "abaa9cd685fa099363e27c5838f3f5ed32becb6665e01b38c503229fb65d90b4"),
+    ("automaton --tb 0 --format json", 0, "d4a81dd6bf5d559d809a40bc799e822b8505484b3608b99dbb3ce74223a76b46"),
+    ("automaton --tb 1", 0, "e94f838763f9b445513dacd1085f4834d140909d8b5e98f3644f03dc00de3a4d"),
+    ("limits --tb 9 --format json", 0, "072ed44129efcfd9a1095e6cd5c872789de7724483a33d0d506efe07f316b2d5"),
 ]
 SOLVE_OUT_TB6_X20_SHA256 = "98926765195e0c414efbee796b4934980f0041488b1d1bb32343818c54619c57"
 
@@ -545,6 +576,17 @@ def test_malformed_ruleset_exits_usage(tmp_path, capsys, text):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "list index out of range" not in err
+
+
+@pytest.mark.parametrize("option", ["--from-json", "--ruleset"])
+def test_non_utf8_input_file_exits_usage_naming_it(tmp_path, capsys, option):
+    path = tmp_path / "latin.bin"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, "check", option, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{path} is not UTF-8" in err
 
 
 @pytest.mark.parametrize(

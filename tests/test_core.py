@@ -202,8 +202,7 @@ def _one_of_each_record():
         report,
         graph.edges[0],
         graph,
-        automaton.automaton_fixed_point(2),
-        automaton.conjecture_report(2),
+        automaton.conjecture_report(automaton.automaton_fixed_point(2)),
     ]
 
 
