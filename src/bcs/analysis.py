@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from functools import cache
+from itertools import product
 from typing import Callable, NamedTuple
 
 from .core import OutcomeTable, RichmanPosition, Side
@@ -48,131 +49,123 @@ class InvariantReport(NamedTuple):
         return f"{status} {self.name} tb={self.tb} x<={self.x_max}{tail}"
 
 
-Check = Callable[[OutcomeTable], Counterexample | None]
+Row = tuple[int, ...]
+RowCheck = Callable[[int, Row, Row | None, Row | None], tuple | None]
 
 
-def _cells(table: OutcomeTable):
-    for x in range(table.x_max + 1):
+def _scan(table: OutcomeTable, check: RowCheck) -> Counterexample | None:
+    """The first heap, in ascending order, where ``check`` fails.
+
+    ``check`` sees heap ``x``, its row and the rows of heaps ``x - 1`` and
+    ``x - 2`` (None below 0), and returns ``(p, values[, note])`` at its
+    first failing budget, or None.  It reads nothing else but the parity of
+    ``x``, and past its stored rows a table repeats the last two in turn, so
+    from heap ``len(rows) + 2`` on every heap shows it what the heap two
+    before showed: the scan stops at ``len(rows) + 1``.
+    """
+    prev = older = None
+    for x in range(min(table.x_max, len(table.rows) + 1) + 1):
         row = table.row(x)
-        for p in range(table.tb + 1):
-            yield x, p, row
+        found = check(x, row, prev, older)
+        if found is not None:
+            return Counterexample(x, *found)
+        older, prev = prev, row
+    return None
 
 
-def _budget_monotonicity(table: OutcomeTable) -> Counterexample | None:
+def _budget_monotonicity(x: int, row: Row, prev: Row | None, older: Row | None):
     """More money with the marker is never worse."""
-    for x, p, row in _cells(table):
-        if p >= 1 and row[p] < row[p - 1]:
-            return Counterexample(x, p, (row[p], row[p - 1]))
-    return None
+    for p in range(1, len(row)):
+        if row[p] < row[p - 1]:
+            return p, (row[p], row[p - 1])
 
 
-def _tie_monotonicity(table: OutcomeTable) -> Counterexample | None:
+def _tie_monotonicity(x: int, row: Row, prev: Row | None, older: Row | None):
     """A smaller tie is always weakly better for the marker holder."""
-    tb = table.tb
-    for x in range(1, table.x_max + 1):
-        prev = table.row(x - 1)
-        for p in range(tb + 1):
-            q = tb - p
-            for l in range(1, min(p, q) + 1):
-                if 1 - prev[q + l] > 1 - prev[q + l - 1]:
-                    return Counterexample(
-                        x, p, (1 - prev[q + l], 1 - prev[q + l - 1]), f"l={l}"
-                    )
-    return None
+    if prev is None:
+        return None
+    tb = len(row) - 1
+    for p in range(tb + 1):
+        q = tb - p
+        for l in range(1, min(p, q) + 1):
+            if 1 - prev[q + l] > 1 - prev[q + l - 1]:
+                return p, (1 - prev[q + l], 1 - prev[q + l - 1]), f"l={l}"
 
 
-def _marker_monotonicity(table: OutcomeTable) -> Counterexample | None:
+def _marker_monotonicity(x: int, row: Row, prev: Row | None, older: Row | None):
     """The marker never hurts, and is worth at most two points."""
-    tb = table.tb
-    for x, p, row in _cells(table):
-        with_marker = row[p]
-        without = -row[tb - p]
+    tb = len(row) - 1
+    for p in range(tb + 1):
+        with_marker, without = row[p], -row[tb - p]
         if not without <= with_marker <= without + 2:
-            return Counterexample(x, p, (without, with_marker))
-    return None
+            return p, (without, with_marker)
 
 
-def _marker_dominance(table: OutcomeTable) -> Counterexample | None:
+def _marker_dominance(x: int, row: Row, prev: Row | None, older: Row | None):
     """Holding the marker beats the flip of any reachable opposing split."""
-    tb = table.tb
-    for x, p, row in _cells(table):
+    tb = len(row) - 1
+    for p in range(tb + 1):
         q = tb - p
         for l in range(p + 1):
             if row[p] < -row[q + l]:
-                return Counterexample(x, p, (row[p], -row[q + l]), f"l={l}")
-    return None
+                return p, (row[p], -row[q + l]), f"l={l}"
 
 
-def _marker_worth(table: OutcomeTable) -> Counterexample | None:
+def _marker_worth(x: int, row: Row, prev: Row | None, older: Row | None):
     """The marker is worth at most one dollar."""
-    tb = table.tb
-    for x, p, row in _cells(table):
-        if p < tb and row[p] > -row[tb - (p + 1)]:
-            return Counterexample(x, p, (row[p], -row[tb - (p + 1)]))
-    return None
+    tb = len(row) - 1
+    for p in range(tb):
+        if row[p] > -row[tb - (p + 1)]:
+            return p, (row[p], -row[tb - (p + 1)])
 
 
-def _sign_border(table: OutcomeTable) -> Counterexample | None:
+def _sign_border(x: int, row: Row, prev: Row | None, older: Row | None):
     """Outcomes are non-negative iff Left holds at least half the budget,
     strictly on odd heaps."""
-    tb = table.tb
-    for x, p, row in _cells(table):
-        v = row[p]
-        if 2 * p >= tb:
-            bad = v < 0 or (x % 2 == 1 and v <= 0)
-        else:
-            bad = v > 0 or (x % 2 == 1 and v >= 0)
-        if bad:
-            return Counterexample(x, p, (v,))
-    return None
+    tb = len(row) - 1
+    for p, v in enumerate(row):
+        if (v < 0 if 2 * p >= tb else v > 0) or x % 2 and v == 0:
+            return p, (v,)
 
 
-def _bounded_outcome(table: OutcomeTable) -> Counterexample | None:
+def _bounded_outcome(x: int, row: Row, prev: Row | None, older: Row | None):
     """Outcomes stay within [-ceil(tb/2), ceil(tb/2) + 1].
 
     Both ends are attained.  The lower end really is the ceiling for odd
     budgets: at tb=5 the cell (x=5, p=0) reaches -3, one below the floor.
     """
-    tb = table.tb
+    tb = len(row) - 1
     lo, hi = -((tb + 1) // 2), (tb + 1) // 2 + 1
-    for x, p, row in _cells(table):
-        if not lo <= row[p] <= hi:
-            return Counterexample(x, p, (row[p], lo, hi))
-    return None
+    for p, v in enumerate(row):
+        if not lo <= v <= hi:
+            return p, (v, lo, hi)
 
 
-def _budget_lipschitz(table: OutcomeTable) -> Counterexample | None:
+def _budget_lipschitz(x: int, row: Row, prev: Row | None, older: Row | None):
     """One extra dollar gains at most two points."""
-    for x, p, row in _cells(table):
-        if p + 1 <= table.tb and row[p + 1] > row[p] + 2:
-            return Counterexample(x, p, (row[p], row[p + 1]))
-    return None
+    for p in range(len(row) - 1):
+        if row[p + 1] > row[p] + 2:
+            return p, (row[p], row[p + 1])
 
 
-def _heap_monotonicity(table: OutcomeTable) -> Counterexample | None:
+def _heap_monotonicity(x: int, row: Row, prev: Row | None, older: Row | None):
     """Per parity, rich columns never decrease and poor columns never grow."""
-    tb = table.tb
-    for x in range(2, table.x_max + 1):
-        row, prev = table.row(x), table.row(x - 2)
-        for p in range(tb + 1):
-            if 2 * p >= tb:
-                bad = row[p] < prev[p]
-            else:
-                bad = row[p] > prev[p]
-            if bad:
-                return Counterexample(x, p, (prev[p], row[p]))
-    return None
+    if older is None:
+        return None
+    tb = len(row) - 1
+    for p in range(tb + 1):
+        if row[p] < older[p] if 2 * p >= tb else row[p] > older[p]:
+            return p, (older[p], row[p])
 
 
-def _parity(table: OutcomeTable) -> Counterexample | None:
+def _parity(x: int, row: Row, prev: Row | None, older: Row | None):
     """Scores share the parity of the heap."""
-    for x, p, row in _cells(table):
-        if (row[p] - x) % 2 != 0:
-            return Counterexample(x, p, (row[p],))
-    return None
+    for p, v in enumerate(row):
+        if (v - x) % 2 != 0:
+            return p, (v,)
 
 
-_INVARIANTS: tuple[tuple[str, Check], ...] = (
+_INVARIANTS: tuple[tuple[str, RowCheck], ...] = (
     ("budget_monotonicity", _budget_monotonicity),
     ("tie_monotonicity", _tie_monotonicity),
     ("marker_monotonicity", _marker_monotonicity),
@@ -189,9 +182,10 @@ INVARIANT_NAMES = tuple(name for name, _ in _INVARIANTS)
 
 
 def run_invariant_suite_on(table: OutcomeTable) -> list[InvariantReport]:
-    """Run all ten invariant scans over an already solved table."""
+    """Run all ten invariants over an already solved table, each as one
+    :func:`_scan`."""
     return [
-        InvariantReport(name, table.tb, table.x_max, check(table))
+        InvariantReport(name, table.tb, table.x_max, _scan(table, check))
         for name, check in _INVARIANTS
     ]
 
@@ -225,40 +219,27 @@ def left_can_force_final_wins(x: int, p: int, q: int, marker: Side) -> bool:
     def wins(x: int, p: int, q: int, marker: Side) -> bool:
         if x == 0:
             return True
-        for l in range(p + 1):
-            ok = True
-            for r in range(q + 1):
-                if l > r:
-                    nxt = (x - 1, p - l, q + l, marker)
-                elif l == r and marker is Side.LEFT:
-                    nxt = (x - 1, p - l, q + l, Side.RIGHT)
-                else:
-                    ok = False
-                    break
-                if not wins(*nxt):
-                    ok = False
-                    break
-            if ok:
-                return True
-        return False
+
+        def beats(l: int, r: int) -> bool:  # and forces the rest from there
+            if l > r:
+                return wins(x - 1, p - l, q + l, marker)
+            return l == r and marker is Side.LEFT and wins(x - 1, p - l, q + l, Side.RIGHT)
+
+        return any(all(beats(l, r) for r in range(q + 1)) for l in range(p + 1))
 
     return wins(x, p, q, marker)
 
 
 def verify_forced_wins(tb: int, x: int) -> InvariantReport:
     """Check the closed-form thresholds against the search for every split."""
-    return InvariantReport("forced_win_threshold", tb, x, _forced_win_miss(tb, x))
-
-
-def _forced_win_miss(tb: int, x: int) -> Counterexample | None:
     for marker in (Side.LEFT, Side.RIGHT):
         for p in range(tb + 1):
-            q = tb - p
-            expected = p >= forced_win_threshold(x, q, marker)
-            got = left_can_force_final_wins(x, p, q, marker)
+            expected = p >= forced_win_threshold(x, tb - p, marker)
+            got = left_can_force_final_wins(x, p, tb - p, marker)
             if got != expected:
-                return Counterexample(x, p, (int(expected), int(got)), f"marker={marker}")
-    return None
+                cex = Counterexample(x, p, (int(expected), int(got)), f"marker={marker}")
+                return InvariantReport("forced_win_threshold", tb, x, cex)
+    return InvariantReport("forced_win_threshold", tb, x)
 
 
 class BidGraphKind(enum.Enum):
@@ -356,21 +337,17 @@ def bid_graph_to_json_dict(graph: BidGraph) -> dict:
 def check_oracle_equivalence(tb: int, x_max: int) -> InvariantReport:
     """Compare the reduced solver against the full-matrix evaluator.
 
-    Every cell is checked for both marker holders, so the zero-sum flip the
-    solver relies on is exercised against independently computed values.
+    Every cell up to ``x_max`` is checked for both marker holders, so the
+    zero-sum flip the solver relies on is exercised against independently
+    computed values.
     """
-    table = solve(tb, x_max)
-    return InvariantReport("oracle_equivalence", tb, x_max, _oracle_mismatch(table))
-
-
-def _oracle_mismatch(table: OutcomeTable) -> Counterexample | None:
-    layers = oracle_table(table.tb, table.x_max)
-    for x, p, _ in _cells(table):
+    table, layers = solve(tb, x_max), oracle_table(tb, x_max)
+    for x, p in product(range(x_max + 1), range(tb + 1)):
         for marker in (Side.LEFT, Side.RIGHT):
-            pos = RichmanPosition(tb=table.tb, heap=x, left_budget=p, marker=marker)
+            pos = RichmanPosition(tb=tb, heap=x, left_budget=p, marker=marker)
             fast = value(table, pos)
             slow = layers[x][pos.left_holds_marker][p]
             if fast != slow:
-                return Counterexample(x, p, (fast, slow), f"marker={marker}")
-    return None
-
+                cex = Counterexample(x, p, (fast, slow), f"marker={marker}")
+                return InvariantReport("oracle_equivalence", tb, x_max, cex)
+    return InvariantReport("oracle_equivalence", tb, x_max)

@@ -86,19 +86,20 @@ def _budget_columns(
 
 def _table_chunks(table: OutcomeTable, fmt: str) -> Iterator[str]:
     """``table`` in the ``solve`` format ``fmt``, one heap row at a time."""
+    heaps = range(table.x_max + 1)
     if fmt == "csv":
         yield "x,p,marker,value\n"
-        for x, row in enumerate(table.rows):
-            yield "".join([f"{x},{p},L,{v}\n" for p, v in enumerate(row)])
+        for x in heaps:
+            yield "".join([f"{x},{p},L,{v}\n" for p, v in enumerate(table.row(x))])
     elif fmt == "json":
         rows = (
-            _JSON_ROW.format(x, ",\n        ".join(map(str, row)))
-            for x, row in enumerate(table.rows)
+            _JSON_ROW.format(x, ",\n        ".join(map(str, table.row(x))))
+            for x in heaps
         )
         yield from _json({"tb": table.tb, "x_max": table.x_max}, rows)
     else:
-        heaps = range(len(table.rows))
-        yield from _budget_columns(table.tb, "x \\ p^", heaps, table.rows)
+        rows = [*map(table.row, heaps)]
+        yield from _budget_columns(table.tb, "x \\ p^", heaps, rows)
 
 
 def load_outcome_table_json(data: dict) -> OutcomeTable:
@@ -168,16 +169,13 @@ def cmd_limits(args: argparse.Namespace) -> int:
 
 
 def _report_payload(report: analysis.InvariantReport) -> dict:
-    cex = None
-    if report.counterexample is not None:
-        c = report.counterexample
-        cex = {"x": c.x, "p": c.p, "values": list(c.values), "note": c.note}
+    cex = report.counterexample
     return {
         "name": report.name,
         "tb": report.tb,
         "x_max": report.x_max,
         "passed": report.passed,
-        "counterexample": cex,
+        "counterexample": cex and cex._asdict(),  # "x", "p", "values", "note"
     }
 
 
@@ -336,9 +334,7 @@ def cmd_play(args: argparse.Namespace) -> int:
             f"R={pos.right_budget} marker={pos.marker}"
         )
         engine_bid = _engine_bid(table, pos, engine_side)
-        budget = (
-            pos.left_budget if human_side is Side.LEFT else pos.right_budget
-        )
+        budget = pos.left_budget if human_side is Side.LEFT else pos.right_budget
         human_bid = None
         while human_bid is None:
             try:

@@ -182,6 +182,7 @@ def classify_bid(
 class _TableFields(NamedTuple):
     tb: int
     rows: tuple[tuple[int, ...], ...]
+    x_max: int
 
 
 class OutcomeTable(_TableFields):
@@ -190,21 +191,30 @@ class OutcomeTable(_TableFields):
     ``row(x)[p]`` is the score of heap ``x`` when Left holds ``p`` dollars and
     the marker.  Values for a marker-holding Right follow from the zero-sum
     flip ``-row(x)[tb - p]`` and are derived, never stored.
+
+    ``x_max`` defaults to the last stored heap, and ``rows`` may stop short
+    of it: past the stored rows the last two repeat in turn, as the rows of
+    a 2-cycle do.  So a solved table and the full table read back from its
+    JSON hold the same rows but compare unequal as records.
     """
 
     __slots__ = ()
 
-    def __new__(cls, tb: int, rows: tuple[tuple[int, ...], ...]) -> OutcomeTable:
+    def __new__(
+        cls, tb: int, rows: tuple[tuple[int, ...], ...], x_max: int | None = None
+    ) -> OutcomeTable:
         for x, row in enumerate(rows):
             if len(row) != tb + 1:
                 raise ValueError(f"row {x} has {len(row)} values, expected tb+1 = {tb + 1}")
-        return super().__new__(cls, tb, rows)
-
-    @property
-    def x_max(self) -> int:
-        return len(self.rows) - 1
+        x_max = len(rows) - 1 if x_max is None else x_max
+        if len(rows) > x_max + 1:
+            raise ValueError(f"{len(rows)} rows for heaps 0..{x_max}")
+        if len(rows) < min(2, x_max + 1):
+            raise ValueError(f"{len(rows)} rows cannot repeat as a 2-cycle up to heap {x_max}")
+        return super().__new__(cls, tb, rows, x_max)
 
     def row(self, x: int) -> tuple[int, ...]:
         if not 0 <= x <= self.x_max:
             raise OutOfRange(f"heap {x} outside solved range 0..{self.x_max}")
-        return self.rows[x]
+        last = len(self.rows) - 1
+        return self.rows[x if x <= last else last - (x - last) % 2]

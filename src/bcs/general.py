@@ -51,6 +51,25 @@ class RulesetParseError(GameError, ValueError):
     """Raised on malformed ruleset text."""
 
 
+# The most payoffs one fill may evaluate (seconds of work); a larger ruleset
+# is refused before anything is allocated for it.
+MAX_FILL_PAYOFFS = 10**7
+
+
+def _require_fillable(positions, left_edges, right_edges, tb: int, n_bids: int) -> None:
+    """Refuse a fill that may evaluate more than ``MAX_FILL_PAYOFFS`` payoffs:
+    at each of a position's ``2 (tb + 1)`` states, each bid of Left with each
+    of her moves (or none) against each bid of Right with each of his."""
+    moves = sum(
+        max(1, len(left_edges.get(x, ()))) * max(1, len(right_edges.get(x, ())))
+        for x in positions
+    )
+    if (size := 2 * (tb + 1) * n_bids**2 * moves) > MAX_FILL_PAYOFFS:
+        raise ValueError(
+            f"ruleset fill of up to {size:,} payoffs exceeds the limit of {MAX_FILL_PAYOFFS:,}"
+        )
+
+
 class _RulesetFields(NamedTuple):
     positions: tuple[Node, ...]
     left_edges: Mapping[Node, Mapping[Node, int]]
@@ -92,6 +111,7 @@ class GeneralRuleset(_RulesetFields):
             raise InvalidRuleset("bid set must be non-empty")
         if not all(0 <= b <= tb for b in bid_set):
             raise InvalidRuleset(f"bids {sorted(bid_set)} outside 0..{tb}")
+        _require_fillable(positions, left_edges, right_edges, tb, len(bid_set))
         known = set(positions)
         if len(known) < len(positions):
             twice = next(x for i, x in enumerate(positions) if x in positions[:i])
@@ -246,8 +266,6 @@ def check_property_U(ruleset: GeneralRuleset) -> UReport:
     def plain(x: Node, p: int) -> int:
         return value(x, p, Side.RIGHT)
 
-    violations = []
-
     def scan_a() -> UViolation | None:
         for x in ruleset.positions:
             for p in range(tb, 0, -1):
@@ -275,11 +293,8 @@ def check_property_U(ruleset: GeneralRuleset) -> UReport:
                     return UViolation("C", x, (p, p + 1), hat(x, p), plain(x, p + 1))
         return None
 
-    for scan in (scan_a, scan_b, scan_c):
-        found = scan()
-        if found is not None:
-            violations.append(found)
-    return UReport(holds=not violations, violations=tuple(violations))
+    violations = tuple(v for v in (scan_a(), scan_b(), scan_c()) if v is not None)
+    return UReport(holds=not violations, violations=violations)
 
 
 def make_unitary_ruleset(tb: int, x_max: int) -> GeneralRuleset:
@@ -366,6 +381,7 @@ def parse_ruleset(text: str) -> GeneralRuleset:
     if bids_text is None:
         raise RulesetParseError("missing 'bids' directive")
     if bids_text.strip().lower() == "all":
+        _require_fillable(positions, edges["L"], edges["R"], tb, tb + 1)
         bid_set = frozenset(range(tb + 1))
     else:
         try:

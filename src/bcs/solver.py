@@ -25,14 +25,14 @@ Only marker-Left values are stored.  The value of a position where Right
 holds the marker is the zero-sum flip ``-row[q]``.  Row ``x`` depends only
 on row ``x - 1``, so once a row equals the row two before it, every later
 row is a copy.  :func:`_rows` is the one loop that produces rows and the one
-test for that 2-cycle: it stops before the first repeat, :func:`solve` pads
-its table with the last two rows in turn, and :func:`limit_rows` reads the
-limits off them.
+test for that 2-cycle: it stops before the first repeat, :func:`solve`
+stores the rows up to there (its table reads later heaps by parity), and
+:func:`limit_rows` reads the limits off them.
 """
 
 from __future__ import annotations
 
-from itertools import cycle, islice
+from itertools import islice
 from operator import gt
 from typing import Iterator, NamedTuple
 
@@ -122,14 +122,15 @@ def _rows(tb: int) -> Iterator[tuple[int, ...]]:
 
 
 def solve(tb: int, x_max: int) -> OutcomeTable:
-    """Solve every heap size up to ``x_max`` for total budget ``tb``."""
+    """Solve every heap size up to ``x_max`` for total budget ``tb``.
+
+    The table stores the rows up to the first 2-cycle, at most
+    ``x_star + 2`` of them, and reads later heaps by parity."""
     if tb < 0:
         raise ValueError(f"total budget must be >= 0, got {tb}")
     if x_max < 0:
         raise ValueError(f"x_max must be >= 0, got {x_max}")
-    rows = list(islice(_rows(tb), x_max + 1))
-    rows += islice(cycle(rows[-2:]), x_max + 1 - len(rows))
-    return OutcomeTable(tb, tuple(rows))
+    return OutcomeTable(tb, tuple(islice(_rows(tb), x_max + 1)), x_max)
 
 
 def value(table: OutcomeTable, pos: RichmanPosition) -> int:

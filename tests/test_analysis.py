@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bcs.analysis import (
     INVARIANT_NAMES,
     BidGraphKind,
+    Counterexample,
+    InvariantReport,
+    _scan,
     bid_graph,
     bid_graph_to_dot,
     bid_graph_to_json_dict,
@@ -12,6 +16,7 @@ from bcs.analysis import (
     run_invariant_suite_on,
     verify_forced_wins,
 )
+from bcs.automaton import convergence_bound
 from bcs.core import OutcomeTable, Side
 from bcs.solver import solve
 
@@ -158,3 +163,229 @@ def test_json_export_shape():
 
 def test_oracle_equivalence_helper():
     assert check_oracle_equivalence(5, 12).passed
+
+
+# The ten invariant scans as they were before ``_scan`` ran them as row
+# checks, kept verbatim as the reference: each walks every heap up to
+# ``x_max`` itself.
+def _cells(table: OutcomeTable):
+    for x in range(table.x_max + 1):
+        row = table.row(x)
+        for p in range(table.tb + 1):
+            yield x, p, row
+
+
+def _budget_monotonicity(table: OutcomeTable) -> Counterexample | None:
+    """More money with the marker is never worse."""
+    for x, p, row in _cells(table):
+        if p >= 1 and row[p] < row[p - 1]:
+            return Counterexample(x, p, (row[p], row[p - 1]))
+    return None
+
+
+def _tie_monotonicity(table: OutcomeTable) -> Counterexample | None:
+    """A smaller tie is always weakly better for the marker holder."""
+    tb = table.tb
+    for x in range(1, table.x_max + 1):
+        prev = table.row(x - 1)
+        for p in range(tb + 1):
+            q = tb - p
+            for l in range(1, min(p, q) + 1):
+                if 1 - prev[q + l] > 1 - prev[q + l - 1]:
+                    return Counterexample(
+                        x, p, (1 - prev[q + l], 1 - prev[q + l - 1]), f"l={l}"
+                    )
+    return None
+
+
+def _marker_monotonicity(table: OutcomeTable) -> Counterexample | None:
+    """The marker never hurts, and is worth at most two points."""
+    tb = table.tb
+    for x, p, row in _cells(table):
+        with_marker = row[p]
+        without = -row[tb - p]
+        if not without <= with_marker <= without + 2:
+            return Counterexample(x, p, (without, with_marker))
+    return None
+
+
+def _marker_dominance(table: OutcomeTable) -> Counterexample | None:
+    """Holding the marker beats the flip of any reachable opposing split."""
+    tb = table.tb
+    for x, p, row in _cells(table):
+        q = tb - p
+        for l in range(p + 1):
+            if row[p] < -row[q + l]:
+                return Counterexample(x, p, (row[p], -row[q + l]), f"l={l}")
+    return None
+
+
+def _marker_worth(table: OutcomeTable) -> Counterexample | None:
+    """The marker is worth at most one dollar."""
+    tb = table.tb
+    for x, p, row in _cells(table):
+        if p < tb and row[p] > -row[tb - (p + 1)]:
+            return Counterexample(x, p, (row[p], -row[tb - (p + 1)]))
+    return None
+
+
+def _sign_border(table: OutcomeTable) -> Counterexample | None:
+    """Outcomes are non-negative iff Left holds at least half the budget,
+    strictly on odd heaps."""
+    tb = table.tb
+    for x, p, row in _cells(table):
+        v = row[p]
+        if 2 * p >= tb:
+            bad = v < 0 or (x % 2 == 1 and v <= 0)
+        else:
+            bad = v > 0 or (x % 2 == 1 and v >= 0)
+        if bad:
+            return Counterexample(x, p, (v,))
+    return None
+
+
+def _bounded_outcome(table: OutcomeTable) -> Counterexample | None:
+    """Outcomes stay within [-ceil(tb/2), ceil(tb/2) + 1].
+
+    Both ends are attained.  The lower end really is the ceiling for odd
+    budgets: at tb=5 the cell (x=5, p=0) reaches -3, one below the floor.
+    """
+    tb = table.tb
+    lo, hi = -((tb + 1) // 2), (tb + 1) // 2 + 1
+    for x, p, row in _cells(table):
+        if not lo <= row[p] <= hi:
+            return Counterexample(x, p, (row[p], lo, hi))
+    return None
+
+
+def _budget_lipschitz(table: OutcomeTable) -> Counterexample | None:
+    """One extra dollar gains at most two points."""
+    for x, p, row in _cells(table):
+        if p + 1 <= table.tb and row[p + 1] > row[p] + 2:
+            return Counterexample(x, p, (row[p], row[p + 1]))
+    return None
+
+
+def _heap_monotonicity(table: OutcomeTable) -> Counterexample | None:
+    """Per parity, rich columns never decrease and poor columns never grow."""
+    tb = table.tb
+    for x in range(2, table.x_max + 1):
+        row, prev = table.row(x), table.row(x - 2)
+        for p in range(tb + 1):
+            if 2 * p >= tb:
+                bad = row[p] < prev[p]
+            else:
+                bad = row[p] > prev[p]
+            if bad:
+                return Counterexample(x, p, (prev[p], row[p]))
+    return None
+
+
+def _parity(table: OutcomeTable) -> Counterexample | None:
+    """Scores share the parity of the heap."""
+    for x, p, row in _cells(table):
+        if (row[p] - x) % 2 != 0:
+            return Counterexample(x, p, (row[p],))
+    return None
+
+
+
+
+_REFERENCE_SCANS = (
+    _budget_monotonicity,
+    _tie_monotonicity,
+    _marker_monotonicity,
+    _marker_dominance,
+    _marker_worth,
+    _sign_border,
+    _bounded_outcome,
+    _budget_lipschitz,
+    _heap_monotonicity,
+    _parity,
+)
+
+
+def _reference_suite(table):
+    return [
+        InvariantReport(name, table.tb, table.x_max, scan(table))
+        for name, scan in zip(INVARIANT_NAMES, _REFERENCE_SCANS, strict=True)
+    ]
+
+
+def _full_copy(table):
+    """The same heaps, every row stored: no repeat is read by parity."""
+    return OutcomeTable(table.tb, tuple(map(table.row, range(table.x_max + 1))))
+
+
+@st.composite
+def _tables(draw, periodic):
+    """Small tables with values in a small range, so that violations occur.
+    A periodic table stores at least two rows and may reach past them."""
+    tb = draw(st.integers(0, 5))
+    row = st.tuples(*[st.integers(-3, 4)] * (tb + 1))
+    rows = tuple(draw(st.lists(row, min_size=2 if periodic else 1, max_size=6)))
+    x_max = len(rows) - 1 + (draw(st.integers(0, 6)) if periodic else 0)
+    return OutcomeTable(tb, rows, x_max)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tables(periodic=False))
+def test_row_checks_match_the_reference_scans_on_full_tables(table):
+    assert run_invariant_suite_on(table) == _reference_suite(table)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tables(periodic=True))
+def test_row_checks_read_a_periodic_table_like_its_full_copy(table):
+    expected = _reference_suite(_full_copy(table))
+    assert run_invariant_suite_on(table) == expected
+    assert run_invariant_suite_on(_full_copy(table)) == expected
+
+
+@pytest.mark.parametrize("tb", range(41))
+def test_suite_on_a_solved_table_equals_its_full_copy(tb):
+    table = solve(tb, convergence_bound(tb) + 2)
+    assert run_invariant_suite_on(table) == run_invariant_suite_on(_full_copy(table))
+
+
+@pytest.mark.parametrize("x_max", [0, 1, 2, 3, 5, 11, 12, 13, 14, 15, 30])
+def test_scan_stops_two_heaps_past_the_stored_rows(x_max):
+    table = solve(7, x_max)
+    assert len(table.rows) == min(x_max + 1, 13)  # x_star = 11 at tb 7
+    seen = []
+
+    def record(x, row, prev, older):
+        seen.append(x)
+        assert row == table.row(x)
+        assert prev == (table.row(x - 1) if x >= 1 else None)
+        assert older == (table.row(x - 2) if x >= 2 else None)
+
+    assert _scan(table, record) is None
+    assert seen == list(range(min(x_max, len(table.rows) + 1) + 1))
+    found = _scan(table, lambda x, row, prev, older: (0, (x,), "n") if x == x_max else None)
+    assert found == (Counterexample(x_max, 0, (x_max,), "n") if x_max <= 14 else None)
+
+
+def test_suite_reads_no_row_past_the_repeat(monkeypatch):
+    read, heaps = OutcomeTable.row, []
+    monkeypatch.setattr(OutcomeTable, "row", lambda t, x: heaps.append(x) or read(t, x))
+    table = solve(8, convergence_bound(8) + 2)
+    run_invariant_suite_on(table)
+    assert max(heaps) == len(table.rows) + 1 < table.x_max
+    heaps.clear()
+    run_invariant_suite_on(_full_copy(table))
+    assert max(heaps) == table.x_max
+
+
+@pytest.mark.parametrize("tb", [2, 5, 8, 11])
+def test_violation_in_the_last_stored_row_is_found_where_the_full_copy_has_it(tb):
+    solved = solve(tb, convergence_bound(tb) + 2)
+    last = list(solved.rows[-1])
+    last[tb] = last[tb - 1] - 2  # a descent, read as the row below heap len(rows)
+    table = OutcomeTable(tb, solved.rows[:-1] + (tuple(last),), solved.x_max)
+    reports = run_invariant_suite_on(table)
+    assert reports == run_invariant_suite_on(_full_copy(table))
+    tie = reports[INVARIANT_NAMES.index("tie_monotonicity")]
+    assert tie.counterexample.x == len(table.rows)
+    budget = reports[INVARIANT_NAMES.index("budget_monotonicity")]
+    assert budget.counterexample[:2] == (len(table.rows) - 1, tb)

@@ -190,7 +190,8 @@ def test_limit_rows_match_the_full_table(tb):
     rows = [(0,) * (tb + 1)]
     while len(rows) <= x_max:  # every row up to the bound, no early stop
         rows.append(_next_row(tb, rows[-1]))
-    assert solve(tb, x_max).rows == tuple(rows)
+    table = solve(tb, x_max)
+    assert tuple(map(table.row, range(x_max + 1))) == tuple(rows)
     assert rows[x_max - 2] == rows[x_max]
     last_two = {x_max % 2: rows[x_max], (x_max - 1) % 2: rows[x_max - 1]}
     assert limit_rows(tb) == (last_two[0], last_two[1], _backward_x_star(rows))

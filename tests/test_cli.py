@@ -604,6 +604,38 @@ def test_position_declared_twice_exits_usage(tmp_path, capsys, text, twice):
     assert (code, out, err) == (2, "", f"error: position {twice!r} declared twice\n")
 
 
+def _unitary_text(tb, heaps):
+    lines = [f"node {x}" for x in range(1, heaps + 1)] + ["node 0 terminal 0"]
+    for x in range(1, heaps + 1):
+        lines += [f"edge L {x} {x - 1} 1", f"edge R {x} {x - 1} -1"]
+    return "\n".join(lines + [f"tb {tb}", "bids all"]) + "\n"
+
+
+# Without a limit, the first two fill ever longer lists until killed and the
+# third evaluates about 10^11 payoffs over a small table.
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("node a terminal 0\ntb 99999999999\nbids 0\n", id="states"),
+        pytest.param("node a terminal 0\ntb 99999999999\nbids all\n", id="bid-set"),
+        pytest.param(_unitary_text(3000, 2), id="payoffs"),
+    ],
+)
+def test_ruleset_too_large_to_fill_exits_usage(tmp_path, text):
+    path = tmp_path / "large.game"
+    path.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bcs", "check", "--ruleset", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ruleset fill of up to ")
+    assert proc.stderr.endswith(" payoffs exceeds the limit of 10,000,000\n")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_undeclared_targets_error_ignores_hash_seed(tmp_path):
     path = tmp_path / "broken.game"
     path.write_text("node a\nedge L a q 1\nedge L a z 1\ntb 1\nbids all\n")

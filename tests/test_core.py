@@ -184,6 +184,38 @@ def test_outcome_table_validates_shape():
         OutcomeTable(tb=1, rows=((0, 0), (-1, 1, 1)))
 
 
+def test_outcome_table_reads_past_its_rows_by_parity():
+    rows = ((0, 0), (-1, 1), (0, 2))
+    table = OutcomeTable(tb=1, rows=rows, x_max=6)
+    assert table.x_max == 6
+    assert [table.row(x) for x in range(7)] == [rows[0], *(rows[1:] * 3)]
+    with pytest.raises(OutOfRange):
+        table.row(7)
+    with pytest.raises(OutOfRange):
+        table.row(-1)
+    # The same rows stored in full make an unequal record.
+    full = OutcomeTable(tb=1, rows=tuple(map(table.row, range(7))))
+    assert full.x_max == 6 and full != table
+
+
+def test_outcome_table_refuses_more_rows_than_heaps():
+    rows = ((0, 0), (-1, 1), (0, 2))
+    assert OutcomeTable(tb=1, rows=rows, x_max=2) == OutcomeTable(tb=1, rows=rows)
+    for x_max in (1, 0, -1):
+        with pytest.raises(ValueError, match=f"3 rows for heaps 0..{x_max}"):
+            OutcomeTable(tb=1, rows=rows, x_max=x_max)
+
+
+def test_outcome_table_refuses_a_repeat_of_fewer_than_two_rows():
+    assert OutcomeTable(tb=1, rows=((0, 0),), x_max=0).row(0) == (0, 0)
+    assert OutcomeTable(tb=1, rows=(), x_max=-1).x_max == -1
+    with pytest.raises(ValueError, match="1 rows cannot repeat as a 2-cycle up to heap 1"):
+        OutcomeTable(tb=1, rows=((0, 0),), x_max=1)
+    with pytest.raises(ValueError, match="0 rows cannot repeat"):
+        OutcomeTable(tb=1, rows=(), x_max=0)
+    assert OutcomeTable(tb=1, rows=((0, 0), (-1, 1)), x_max=5).row(5) == (-1, 1)
+
+
 def _one_of_each_record():
     pos = make_position(2, 1, 1, Side.LEFT)
     u_report = general.check_property_U(general.parse_ruleset(ZUGZWANG_RULESET))

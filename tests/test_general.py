@@ -3,6 +3,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from bcs.core import Side
 from bcs.general import (
+    MAX_FILL_PAYOFFS,
     CyclicRuleset,
     GeneralRuleset,
     InvalidRuleset,
@@ -95,6 +96,44 @@ def test_deep_chain_has_no_depth_limit():
     rs = make_unitary_ruleset(0, 3000)
     assert general_values(rs)(3000, 0, Side.LEFT) == 0
     assert check_property_U(rs).holds
+
+
+def test_fill_limit_counts_states_and_payoffs():
+    # One terminal position with one bid: 2 (tb + 1) states of one payoff.
+    half = MAX_FILL_PAYOFFS // 2
+    assert parse_ruleset(f"node a terminal 0\ntb {half - 1}\nbids 0\n").tb == half - 1
+    with pytest.raises(ValueError, match=f"up to {MAX_FILL_PAYOFFS + 2:,} payoffs"):
+        parse_ruleset(f"node a terminal 0\ntb {half}\nbids 0\n")
+    # Every bid: 2 (tb + 1)^3 payoffs a position, refused before the bid set is built.
+    assert len(parse_ruleset("node a terminal 0\ntb 169\nbids all\n").bid_set) == 170
+    with pytest.raises(ValueError, match=f"up to {2 * 171**3:,} payoffs"):
+        parse_ruleset("node a terminal 0\ntb 170\nbids all\n")
+    # A position's moves multiply: 3 x 2 at "a", 1 at each of the three
+    # terminals, with four bids, make 2 (tb + 1) * 16 * 9 payoffs.
+    def fork(tb):
+        return GeneralRuleset(
+            positions=("a", "b", "c", "d"),
+            left_edges={"a": {"b": 1, "c": 1, "d": 1}},
+            right_edges={"a": {"b": -1, "c": -1}},
+            penalties={},
+            tb=tb,
+            bid_set=frozenset({0, 1, 2, 3}),
+        )
+
+    assert fork(34721).tb == 34721  # 9,999,936 payoffs
+    with pytest.raises(ValueError, match="up to 10,368,000 payoffs"):
+        fork(35999)
+    assert make_unitary_ruleset(60, 20).tb == 60  # 2 * 61^3 * 21 payoffs
+
+
+def test_bids_all_is_refused_before_the_bid_set_is_built(monkeypatch):
+    def guarded(items=()):
+        assert not (isinstance(items, range) and len(items) > MAX_FILL_PAYOFFS)
+        return frozenset(items)
+
+    monkeypatch.setattr("bcs.general.frozenset", guarded, raising=False)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        parse_ruleset("node a terminal 0\ntb 99999999999\nbids all\n")
 
 
 def test_tb0_is_alternating_play():

@@ -4,6 +4,7 @@ from itertools import islice
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bcs.automaton import convergence_bound
 from bcs.cli import main
 from bcs.core import (
     BidPair,
@@ -307,10 +308,11 @@ def test_limit_rows_stops_at_the_first_two_cycle(monkeypatch):
     rows = list(islice(_rows(8), 100))  # bounded, should ``_rows`` run on
     assert len(rows) == len(calls) == limits.x_star + 2
     assert rows[-1] != rows[-3] and _next_row(8, rows[-1]) == rows[-2]
-    # ``solve`` computes the same rows and copies the 2-cycle past them.
+    # ``solve`` computes and stores the same rows, and reads the 2-cycle past them.
     calls.clear()
-    rows = solve(8, 100).rows
-    assert len(calls) == limits.x_star + 2
+    table = solve(8, 100)
+    assert len(calls) == len(table.rows) == limits.x_star + 2
+    rows = tuple(map(table.row, range(101)))
     assert rows[limits.x_star :] == (limits.odd_row, limits.even_row) * 45
 
 
@@ -353,3 +355,20 @@ def test_bid_sets_refuse_non_monotone_rows(prev):
     for marker in Side:
         with pytest.raises(RowNotMonotone, match=message):
             equilibrium_bids(table, make_position(tb, 2, 0, marker))
+
+
+# ``solve`` stores the rows up to the first 2-cycle and reads later heaps
+# by parity; every heap must still read the row the recursion gives it.
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 12).flatmap(
+    lambda tb: st.tuples(st.just(tb), st.integers(0, 3 * convergence_bound(tb)))
+))
+def test_periodic_table_reads_the_iterated_rows(case):
+    tb, x_max = case
+    table = solve(tb, x_max)
+    row = (0,) * (tb + 1)
+    for x in range(x_max + 1):
+        assert table.row(x) == row, x
+        row = _next_row(tb, row)
+    assert table.x_max == x_max
+    assert len(table.rows) == min(x_max + 1, limit_rows(tb).x_star + 2)
