@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from functools import cache
-from itertools import product
+from itertools import accumulate, product
 from typing import Callable, NamedTuple
 
 from .core import OutcomeTable, RichmanPosition, Side
@@ -81,15 +81,15 @@ def _budget_monotonicity(x: int, row: Row, prev: Row | None, older: Row | None):
 
 
 def _tie_monotonicity(x: int, row: Row, prev: Row | None, older: Row | None):
-    """A smaller tie is always weakly better for the marker holder."""
+    """A smaller tie is always weakly better for the marker holder: the row
+    below never falls at a budget ``d = q + l``.  Every ``d`` in ``2..tb`` is
+    read, first at ``p = tb - d + 1, l = 1``, so the last fall fails first."""
     if prev is None:
         return None
     tb = len(row) - 1
-    for p in range(tb + 1):
-        q = tb - p
-        for l in range(1, min(p, q) + 1):
-            if 1 - prev[q + l] > 1 - prev[q + l - 1]:
-                return p, (1 - prev[q + l], 1 - prev[q + l - 1]), f"l={l}"
+    for d in range(tb, 1, -1):
+        if prev[d] < prev[d - 1]:
+            return tb - d + 1, (1 - prev[d], 1 - prev[d - 1]), "l=1"
 
 
 def _marker_monotonicity(x: int, row: Row, prev: Row | None, older: Row | None):
@@ -102,13 +102,13 @@ def _marker_monotonicity(x: int, row: Row, prev: Row | None, older: Row | None):
 
 
 def _marker_dominance(x: int, row: Row, prev: Row | None, older: Row | None):
-    """Holding the marker beats the flip of any reachable opposing split."""
+    """Holding the marker beats the flip of any reachable opposing split:
+    ``row[p] >= -row[q + l]`` for ``l = 0..p``, that is ``-min(row[q:])``."""
     tb = len(row) - 1
-    for p in range(tb + 1):
-        q = tb - p
-        for l in range(p + 1):
-            if row[p] < -row[q + l]:
-                return p, (row[p], -row[q + l]), f"l={l}"
+    for p, low in enumerate(accumulate(reversed(row), min)):  # min(row[q:])
+        if row[p] < -low:
+            l = next(l for l in range(p + 1) if row[p] < -row[tb - p + l])
+            return p, (row[p], -row[tb - p + l]), f"l={l}"
 
 
 def _marker_worth(x: int, row: Row, prev: Row | None, older: Row | None):

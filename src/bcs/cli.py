@@ -240,9 +240,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         table = load_outcome_table_json(data)
         reports = analysis.run_invariant_suite_on(table)
     else:
-        x_max = args.x_max
-        if x_max is None:
-            x_max = automaton.convergence_bound(args.tb) + 2
+        bound = automaton.convergence_bound(args.tb)
+        x_max = bound + 2 if args.x_max is None else args.x_max
         reports = analysis.run_invariant_suite_on(solver.solve(args.tb, x_max))
         if args.with_oracle:
             reports.append(analysis.check_oracle_equivalence(args.tb, min(x_max, 40)))
@@ -274,10 +273,11 @@ def cmd_automaton(args: argparse.Namespace) -> int:
         _emit(_json(payload), args.out)
     else:
         chunks = [f"tb = {tb}  B(tb) = {bound}\n"]
-        for name, rows in tables.items():
-            verdict = "holds" if automaton.update_rule_holds(rows) else "FAILS"
-            chunks.append(f"seed {name} (update rule: {verdict})\n")
-            chunks += _budget_columns(tb, "p^", ("x even", "x odd"), rows)
+        for name, (even, odd) in tables.items():  # a 2-cycle is not yet proof of the limit
+            step = solver._next_row(tb, even), solver._next_row(tb, odd)
+            verdict = "holds" if step == (odd, even) else "FAILS"
+            chunks.append(f"seed {name} (2-cycle of the recursion: {verdict})\n")
+            chunks += _budget_columns(tb, "p^", ("x even", "x odd"), (even, odd))
         _emit(chunks, args.out)
     return EXIT_OK
 

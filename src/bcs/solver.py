@@ -144,6 +144,15 @@ def value(table: OutcomeTable, pos: RichmanPosition) -> int:
     return -row[pos.right_budget]
 
 
+def _row_below(table: OutcomeTable, pos: RichmanPosition) -> tuple[int, ...]:
+    """The row of heap ``pos.heap - 1``, which every bid at ``pos`` reads."""
+    if pos.tb != table.tb:
+        raise ValueError(f"position for tb={pos.tb}, table for tb={table.tb}")
+    if pos.heap < 1:
+        raise GameAlreadyOver("no bidding on an empty heap")
+    return table.row(pos.heap - 1)
+
+
 def tie_conditioned_value(table: OutcomeTable, pos: RichmanPosition, l: int) -> int:
     """Score if both players bid ``l`` at ``pos`` and play on optimally.
 
@@ -151,14 +160,10 @@ def tie_conditioned_value(table: OutcomeTable, pos: RichmanPosition, l: int) -> 
     """
     if not pos.left_holds_marker:
         raise ValueError("tie-conditioned values are defined for marker-Left positions")
-    if pos.heap < 1:
-        raise GameAlreadyOver("no bidding on an empty heap")
+    prev = _row_below(table, pos)
     if l < 0 or l > pos.left_budget or l > pos.right_budget:
-        raise InfeasibleBid(
-            f"tie at {l} infeasible with budgets "
-            f"{pos.left_budget}/{pos.right_budget}"
-        )
-    prev = table.row(pos.heap - 1)
+        budgets = f"{pos.left_budget}/{pos.right_budget}"
+        raise InfeasibleBid(f"tie at {l} infeasible with budgets {budgets}")
     return 1 - prev[pos.right_budget + l]
 
 
@@ -211,15 +216,10 @@ def equilibrium_bids(table: OutcomeTable, pos: RichmanPosition) -> frozenset[Bid
     because the ruleset is symmetric.  Raises :class:`RowNotMonotone` when
     the row of heap ``pos.heap - 1`` decreases (property A fails).
     """
-    if pos.tb != table.tb:
-        raise ValueError(f"position for tb={pos.tb}, table for tb={table.tb}")
-    if pos.heap < 1:
-        raise GameAlreadyOver("no bidding on an empty heap")
-    prev = table.row(pos.heap - 1)
+    prev = _row_below(table, pos)
     if pos.left_holds_marker:
         return _marker_left_bids(prev, table.tb, pos.left_budget)
-    mirrored = _marker_left_bids(prev, table.tb, pos.right_budget)
-    return frozenset(_mirror(b) for b in mirrored)
+    return frozenset(map(_mirror, _marker_left_bids(prev, table.tb, pos.right_budget)))
 
 
 class LimitRows(NamedTuple):

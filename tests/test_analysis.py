@@ -1,11 +1,15 @@
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bcs import analysis
 from bcs.analysis import (
     INVARIANT_NAMES,
     BidGraphKind,
     Counterexample,
     InvariantReport,
+    Row,
     _scan,
     bid_graph,
     bid_graph_to_dot,
@@ -17,8 +21,10 @@ from bcs.analysis import (
     verify_forced_wins,
 )
 from bcs.automaton import convergence_bound
-from bcs.core import OutcomeTable, Side
-from bcs.solver import solve
+from bcs.cli import main
+from bcs.core import OutcomeTable, Side, make_position
+from bcs.oracle import oracle_table as real_oracle_table
+from bcs.solver import solve, value
 
 
 def test_ten_invariants_exist():
@@ -389,3 +395,114 @@ def test_violation_in_the_last_stored_row_is_found_where_the_full_copy_has_it(tb
     assert tie.counterexample.x == len(table.rows)
     budget = reports[INVARIANT_NAMES.index("budget_monotonicity")]
     assert budget.counterexample[:2] == (len(table.rows) - 1, tb)
+
+
+# The two row checks as they were before each stated its property in one
+# pass, kept verbatim as the reference: O(tb^2) double loops over a row.
+def _tie_monotonicity_row(x: int, row: Row, prev: Row | None, older: Row | None):
+    """A smaller tie is always weakly better for the marker holder."""
+    if prev is None:
+        return None
+    tb = len(row) - 1
+    for p in range(tb + 1):
+        q = tb - p
+        for l in range(1, min(p, q) + 1):
+            if 1 - prev[q + l] > 1 - prev[q + l - 1]:
+                return p, (1 - prev[q + l], 1 - prev[q + l - 1]), f"l={l}"
+
+
+def _marker_dominance_row(x: int, row: Row, prev: Row | None, older: Row | None):
+    """Holding the marker beats the flip of any reachable opposing split."""
+    tb = len(row) - 1
+    for p in range(tb + 1):
+        q = tb - p
+        for l in range(p + 1):
+            if row[p] < -row[q + l]:
+                return p, (row[p], -row[q + l]), f"l={l}"
+
+
+@st.composite
+def _row_pairs(draw):
+    """Two rows of one budget up to 64: either small values drawn freely, or
+    a walk of small steps that falls now and then, so that a row has few
+    falls at places the draw picks."""
+    tb = draw(st.integers(0, 64))
+
+    def one_row():
+        if draw(st.booleans()):
+            return tuple(draw(st.lists(st.integers(-4, 5), min_size=tb + 1, max_size=tb + 1)))
+        steps = draw(st.lists(st.sampled_from((0, 0, 1, 1, 2, -1, -2)), min_size=tb, max_size=tb))
+        return tuple(accumulate(steps, initial=draw(st.integers(-tb // 2 - 1, 1))))
+
+    return one_row(), one_row()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_pairs())
+def test_one_pass_row_checks_match_the_double_loops(rows):
+    row, prev = rows
+    for x, below in ((0, None), (1, prev)):
+        tie = analysis._tie_monotonicity(x, row, below, None)
+        assert tie == _tie_monotonicity_row(x, row, below, None)
+        dominance = analysis._marker_dominance(x, row, below, None)
+        assert dominance == _marker_dominance_row(x, row, below, None)
+
+
+@pytest.mark.parametrize(
+    "prev,expected",
+    [
+        ((3, 0, 0, 0, 0), None),  # a fall at budget 1 alone: no tie reads it
+        ((0, 2, 1, 1, 3, 2, 2), (2, (-1, -2), "l=1")),  # falls at 2 and 5: the last
+        ((0, 2, 1, 3, 2, 4, 5), (3, (-1, -2), "l=1")),  # falls at 2 and 4: the last
+        ((1, 0), None),  # tb 1: the same
+        ((0, 1, 0), (1, (1, 0), "l=1")),  # the one fall a tie reads at tb 2
+    ],
+)
+def test_tie_monotonicity_reports_the_last_fall_of_the_row_below(prev, expected):
+    row = (0,) * len(prev)
+    assert analysis._tie_monotonicity(1, row, prev, None) == expected
+    assert _tie_monotonicity_row(1, row, prev, None) == expected
+
+
+@pytest.mark.parametrize(
+    "row,expected",
+    [
+        ((-2, 0, 0, 1, 2), None),
+        ((1, 0, -1), (1, (0, 1), "l=1")),
+        ((-3, 1, 0, -1, 3), (2, (0, 1), "l=1")),
+        ((0, -1, 2), (1, (-1, 1), "l=0")),
+        ((1, 1, -1), (2, (-1, 1), "l=2")),
+    ],
+)
+def test_marker_dominance_reads_the_suffix_minimum(row, expected):
+    assert analysis._marker_dominance(0, row, None, None) == expected
+    assert _marker_dominance_row(0, row, None, None) == expected
+
+
+def _planted_oracle(cells):
+    """``oracle_table`` with the cells ``(x, p, marker)`` moved by two."""
+    def oracle_table(tb, x_max):
+        layers = [list(map(list, layer)) for layer in real_oracle_table(tb, x_max)]
+        for x, p, marker in cells:
+            layers[x][marker is Side.LEFT][p] += 2
+        return layers
+
+    return oracle_table
+
+
+@pytest.mark.parametrize(
+    "cells,first",
+    [
+        (((8, 0, Side.LEFT), (7, 3, Side.RIGHT), (7, 3, Side.LEFT)), (7, 3, Side.LEFT, "marker=L")),
+        (((7, 4, Side.LEFT), (7, 3, Side.RIGHT), (9, 0, Side.RIGHT)), (7, 3, Side.RIGHT, "marker=R")),
+    ],
+)
+def test_oracle_equivalence_reports_the_first_disagreement(monkeypatch, capsys, cells, first):
+    # the first cell in (x, p, marker L then R) order, with (fast, slow)
+    monkeypatch.setattr("bcs.analysis.oracle_table", _planted_oracle(cells))
+    x, p, marker, note = first
+    fast = value(solve(5, 12), make_position(5, x, p, marker))
+    report = check_oracle_equivalence(5, 12)
+    assert report.counterexample == Counterexample(x, p, (fast, fast + 2), note)
+    assert main(["check", "--tb", "5", "--x-max", "12", "--with-oracle"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == str(report)

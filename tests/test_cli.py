@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,6 +14,7 @@ from hypothesis import given, strategies as st
 
 from bcs import solver
 from bcs.analysis import BidGraphKind
+from bcs.automaton import closed_form_tables
 from bcs.cli import build_parser, load_outcome_table_json, main
 from bcs.core import OutcomeTable
 
@@ -110,6 +112,36 @@ def test_automaton_tb0(capsys):
     code, out, _ = run_cli(capsys, "automaton", "--tb", "0", "--format", "json")
     tables = json.loads(out)["tables"]["alpha"]
     assert tables == {"even": [0], "odd": [1]}
+
+
+def _cycle_verdicts(capsys, tb):
+    """``{seed: verdict}`` from the text ``automaton`` output."""
+    code, out, _ = run_cli(capsys, "automaton", "--tb", str(tb))
+    assert code == 0
+    seeds = re.findall(r"^seed (\w+) \(2-cycle of the recursion: (holds|FAILS)\)$", out, re.M)
+    assert len(seeds) == out.count("seed ")
+    return dict(seeds)
+
+
+def test_automaton_verdict_is_one_step_of_the_recursion(capsys):
+    # alpha and beta_truncated are 2-cycles at every tb; beta_euclidean only
+    # at tb 1 and 3, where its two states coincide
+    for tb in range(257):
+        verdicts = _cycle_verdicts(capsys, tb)
+        if tb % 2 == 0:
+            assert verdicts == {"alpha": "holds"}, tb
+        else:
+            euclidean = "holds" if tb in (1, 3) else "FAILS"
+            assert verdicts == {"beta_euclidean": euclidean, "beta_truncated": "holds"}, tb
+    assert _cycle_verdicts(capsys, 5)["beta_euclidean"] == "FAILS"
+
+
+def test_automaton_verdict_fails_on_a_closed_form_with_one_cell_flipped(capsys, monkeypatch):
+    (even, odd), = closed_form_tables(8).values()
+    assert even == TB8_EVEN_LIMIT and even[2] == -2
+    flipped = (even[:2] + (0,) + even[3:], odd)  # still nondecreasing
+    monkeypatch.setattr("bcs.automaton.closed_form_tables", lambda tb: {"alpha": flipped})
+    assert _cycle_verdicts(capsys, 8) == {"alpha": "FAILS"}
 
 
 def test_check_passes(capsys):
@@ -309,21 +341,23 @@ def test_module_entry_point():
 # sha256 of stdout and the exit code of each command, captured before the
 # single-table refactor; success output must stay byte-identical.  TABLE is
 # the file written by ``solve --tb 6 --x-max 20 --format json --out``,
-# RULESET the zugzwang ruleset.
+# RULESET the zugzwang ruleset.  The three text ``automaton`` digests were
+# re-taken when each seed's verdict became one step of the recursion (the
+# 2-cycle check) in place of the update rule its pair is built by.
 GOLDEN_CORPUS = [
     ("solve --tb 5 --x-max 2", 0, "65c9d616c467494757d85a3406b2f9caf5cb2d75bd049ddafd732888bbde7321"),
     ("solve --tb 9 --x-max 9 --format json", 0, "572b8ef0163b95e0eb3ec40b19865078a75f7c948c6358ad765205350256619e"),
     ("limits --tb 8", 0, "27ff5e959ca7093d6036365eec61bb3666aeb0624fdae2b2bbffad9358706f53"),
     ("check --tb 5 --x-max 30", 0, "8182e2edceca0d165ea740b38644c1b339a8a2bee8c4564b90803ee583032575"),
     ("check --tb 8 --x-max 40 --with-oracle", 0, "3a19e7f1684c338b7be8b11e0dfd91fc31d7f32565e8a2d0d78083f940520197"),
-    ("automaton --tb 9", 0, "2ae34433a577560dd2b836bbe859151f153d6d64e973e6c1390b1e0b20d7acdd"),
+    ("automaton --tb 9", 0, "d55e3a1d150e6cfa0e8f027587cf1aad735331bc409e94a64010aba70eb88d38"),
     ("conjecture --tb 9", 0, "8d428ee2417cdc3224fe0f0bffd09875a1ef35f5e809bef4fa342327245580ed"),
     ("bids --tb 5 --kind tie --bid 0 --format dot", 0, "d5ca4cac7bce33b5002e9638ba7df01c7a64f720270a267587ffa20ebdc72be2"),
     ("solve --tb 5 --x-max 2 --format csv", 0, "15fb44bc387124d948343d96527044da0b037b7c897c9b99c1ec772d4be837c5"),
     ("solve --tb 5 --x-max 2 --format json", 0, "2b24cba5adeb5cf78eb032677ea14077e396b75f3a3c2d1590c103d4cc721901"),
     ("limits --tb 0", 0, "726b1640bb100c19e41abbb392351b7a3bbb47c3a30f152f7817494d25a3c2f0"),
     ("limits --tb 8 --format json", 0, "30574b963326fcaa8b7eca1923431c45af0a8b2372cdf9497b8e33138a14e86f"),
-    ("automaton --tb 8", 0, "b6a14a2cfe51a3b80c675e0d23a2163a29e4e7218db0d07e8c66dd4a3632aad0"),
+    ("automaton --tb 8", 0, "c1c81c71d4ddad7231fd25014988aa67fd5ac2e3bb5d7ffa70d55488cf806bd4"),
     ("automaton --tb 8 --format json", 0, "a0a8b5227e779ac8523360cc3aa0f0a4ca5c07ebe44ba55ccdf4385777358f4d"),
     ("automaton --tb 9 --format json", 0, "3338b72a908e5f99e4c8b02888f2b945277fb6efe104f8a485664fc4f2af78c0"),
     ("conjecture --tb 8", 0, "4a5427e731d241b1046fcf2748d4fe011566e7b1f3bc98a09f7ed24278b00fbe"),
@@ -343,7 +377,7 @@ GOLDEN_CORPUS = [
     ("conjecture --tb 0", 0, "f7e526bc40f064a5ed368cbac11cbebe050ead767c25cf4c1f2f731daa01a066"),
     ("conjecture --tb 1 --format json", 0, "abaa9cd685fa099363e27c5838f3f5ed32becb6665e01b38c503229fb65d90b4"),
     ("automaton --tb 0 --format json", 0, "d4a81dd6bf5d559d809a40bc799e822b8505484b3608b99dbb3ce74223a76b46"),
-    ("automaton --tb 1", 0, "e94f838763f9b445513dacd1085f4834d140909d8b5e98f3644f03dc00de3a4d"),
+    ("automaton --tb 1", 0, "e6a5a8b0f0ba48a59d4753a0f06e73f97b528d80a73061455f0c033e9c25304c"),
     ("limits --tb 9 --format json", 0, "072ed44129efcfd9a1095e6cd5c872789de7724483a33d0d506efe07f316b2d5"),
 ]
 SOLVE_OUT_TB6_X20_SHA256 = "98926765195e0c414efbee796b4934980f0041488b1d1bb32343818c54619c57"

@@ -134,6 +134,20 @@ def test_no_bidding_on_an_empty_heap():
         tie_conditioned_value(table, make_position(5, 0, 2, Side.LEFT), 0)
 
 
+@pytest.mark.parametrize("tb", [6, 9])
+def test_a_position_for_another_budget_is_refused(tb):
+    # at tb 6 the row below would read a value of the tb 5 game; at tb 9 it
+    # would index past the row's end
+    table, message = solve(5, 3), f"position for tb={tb}, table for tb=5"
+    for marker in (Side.LEFT, Side.RIGHT):
+        pos = make_position(tb, 2, 3, marker)
+        for query in (value, equilibrium_bids):
+            with pytest.raises(ValueError, match=message):
+                query(table, pos)
+    with pytest.raises(ValueError, match=message):
+        tie_conditioned_value(table, make_position(tb, 2, 3, Side.LEFT), 0)
+
+
 def test_tie_conditioned_value_requires_marker():
     table = solve(5, 2)
     with pytest.raises(ValueError):
