@@ -285,6 +285,8 @@ class BidGraph(NamedTuple):
 
 def bid_graph(tb: int, kind: BidGraphKind, bid: int, reduced: bool = False) -> BidGraph:
     """Build the bid graph at one bid size, optionally erasing dominated bids."""
+    if tb < 0:
+        raise ValueError(f"total budget must be >= 0, got {tb}")
     if not 0 <= bid <= tb:
         raise ValueError(f"bid {bid} outside 0..{tb}")
     edges = []

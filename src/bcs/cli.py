@@ -111,13 +111,13 @@ def load_outcome_table_json(data: dict) -> OutcomeTable:
     """
     if not isinstance(data, dict):
         raise ValueError("a table must be a JSON object")
-    if data.get("schema_version") != 1:
-        raise ValueError(f"unsupported schema_version {data.get('schema_version')!r}")
+    # ``bool`` is an ``int`` subclass, but JSON ``true`` is not a number.
+    if type(version := data.get("schema_version")) is not int or version != 1:
+        raise ValueError(f"unsupported schema_version {version!r}")
     for key in ("tb", "x_max", "rows"):
         if key not in data:
             raise ValueError(f"table has no {key!r} key")
     tb, x_max, entries = data["tb"], data["x_max"], data["rows"]
-    # ``bool`` is an ``int`` subclass, but JSON ``true`` is not a number.
     if type(tb) is not int or tb < 0:
         raise ValueError(f"tb must be an integer >= 0, got {tb!r}")
     if not isinstance(entries, list) or not entries:

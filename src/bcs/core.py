@@ -114,10 +114,6 @@ class RichmanPosition(_PositionFields):
     def left_holds_marker(self) -> bool:
         return self.marker is Side.LEFT
 
-    def __str__(self) -> str:
-        p = self.left_budget
-        return f"({self.heap}, {p}^)" if self.left_holds_marker else f"({self.heap}, {p})"
-
 
 def make_position(tb: int, heap: int, left_budget: int, marker: Side) -> RichmanPosition:
     """Build a validated position for total budget ``tb``."""

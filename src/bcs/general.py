@@ -245,56 +245,40 @@ class UViolation(NamedTuple):
 
 
 class UReport(NamedTuple):
-    holds: bool
     violations: tuple[UViolation, ...]
+
+    @property
+    def holds(self) -> bool:
+        return not self.violations
 
 
 def check_property_U(ruleset: GeneralRuleset) -> UReport:
     """Check budget monotonicity, marker monotonicity, and marker worth.
 
-    Maximin values are evaluated at every position and budget split, for
-    both marker holders.  Each violated property contributes one witness,
-    the first found scanning positions in declaration order and budgets
-    from the richest Left downwards.
+    Each position's maximin rows are read once, richest Left first and the
+    marker-Left row first, so a state nobody can bid at is refused at its
+    highest Left budget.  Each violated property has one witness: the first
+    in declaration order, richest Left first, and marker Left first for A.
     """
     value = general_values(ruleset)
     tb = ruleset.tb
-
-    def hat(x: Node, p: int) -> int:
-        return value(x, p, Side.LEFT)
-
-    def plain(x: Node, p: int) -> int:
-        return value(x, p, Side.RIGHT)
-
-    def scan_a() -> UViolation | None:
-        for x in ruleset.positions:
-            for p in range(tb, 0, -1):
-                if hat(x, p) < hat(x, p - 1):
-                    return UViolation(
-                        "A", x, (p, p - 1), hat(x, p), hat(x, p - 1), "marker-left"
-                    )
-                if plain(x, p) < plain(x, p - 1):
-                    return UViolation(
-                        "A", x, (p, p - 1), plain(x, p), plain(x, p - 1), "marker-right"
-                    )
-        return None
-
-    def scan_b() -> UViolation | None:
-        for x in ruleset.positions:
-            for p in range(tb, -1, -1):
-                if hat(x, p) < plain(x, p):
-                    return UViolation("B", x, (p,), hat(x, p), plain(x, p))
-        return None
-
-    def scan_c() -> UViolation | None:
-        for x in ruleset.positions:
-            for p in range(tb - 1, -1, -1):
-                if hat(x, p) > plain(x, p + 1):
-                    return UViolation("C", x, (p, p + 1), hat(x, p), plain(x, p + 1))
-        return None
-
-    violations = tuple(v for v in (scan_a(), scan_b(), scan_c()) if v is not None)
-    return UReport(holds=not violations, violations=violations)
+    first: dict[str, UViolation] = {}
+    for x in ruleset.positions:
+        hat = [value(x, p, Side.LEFT) for p in range(tb, -1, -1)][::-1]
+        plain = [value(x, p, Side.RIGHT) for p in range(tb, -1, -1)][::-1]
+        for p in range(tb, -1, -1):
+            found = [
+                UViolation("A", x, (p, p - 1), row[p], row[p - 1], detail)
+                for row, detail in ((hat, "marker-left"), (plain, "marker-right"))
+                if p and row[p] < row[p - 1]
+            ]
+            if hat[p] < plain[p]:
+                found.append(UViolation("B", x, (p,), hat[p], plain[p]))
+            if p < tb and hat[p] > plain[p + 1]:
+                found.append(UViolation("C", x, (p, p + 1), hat[p], plain[p + 1]))
+            for v in found:
+                first.setdefault(v.prop, v)
+    return UReport(tuple(sorted(first.values(), key=lambda v: v.prop)))
 
 
 def make_unitary_ruleset(tb: int, x_max: int) -> GeneralRuleset:

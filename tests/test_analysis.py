@@ -76,6 +76,8 @@ def test_forced_win_threshold_closed_forms():
         assert forced_win_threshold(3, q, Side.RIGHT) == 7 * q + 7
     with pytest.raises(ValueError):
         forced_win_threshold(0, 1, Side.LEFT)
+    with pytest.raises(ValueError, match="opponent budget must be >= 0, got -1"):
+        forced_win_threshold(1, -1, Side.LEFT)
 
 
 def test_forced_win_search_basics():
@@ -96,6 +98,28 @@ def test_verify_forced_wins_small():
     assert verify_forced_wins(4, 1).passed
     assert verify_forced_wins(7, 2).passed
     assert verify_forced_wins(10, 3).passed
+
+
+@pytest.mark.parametrize(
+    "shift, tb, p, values, marker",
+    [
+        # off by one for both markers, each failing at p = 2: L is reported
+        ({Side.LEFT: 1, Side.RIGHT: -1}, 4, 2, (0, 1), Side.LEFT),
+        ({Side.LEFT: 0, Side.RIGHT: 1}, 5, 3, (0, 1), Side.RIGHT),
+        # every split expected to pass; the search fails at p = 0 and 1: p = 0 is reported
+        ({Side.LEFT: -9, Side.RIGHT: -9}, 4, 0, (1, 0), Side.LEFT),
+    ],
+)
+def test_verify_forced_wins_reports_the_first_disagreement(
+    monkeypatch, shift, tb, p, values, marker
+):
+    real = analysis.forced_win_threshold
+    monkeypatch.setattr(
+        analysis, "forced_win_threshold", lambda x, q, m: real(x, q, m) + shift[m]
+    )
+    report = verify_forced_wins(tb, 1)
+    assert not report.passed
+    assert report.counterexample == (1, p, values, f"marker={marker}")
 
 
 def test_tie_graph_bid0_is_involution():

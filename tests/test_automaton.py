@@ -101,6 +101,8 @@ def test_fixed_point_tb9_update_entries():
 
 def test_fixed_point_tb0():
     assert automaton_fixed_point(0) == ((0,), (1,))
+    with pytest.raises(ValueError, match="total budget must be >= 0, got -1"):
+        automaton_fixed_point(-1)
 
 
 def test_convergence_bound_values():

@@ -522,6 +522,15 @@ def _table_text(**changes):
             id="bool-value",
         ),
         pytest.param("[" * 1000, id="nested-too-deep"),
+        pytest.param(json.dumps([_GOOD_TABLE]), id="top-level-array"),
+        pytest.param(_table_text(schema_version=True), id="schema-true"),
+        pytest.param(_table_text(schema_version=1.0), id="schema-float"),
+        pytest.param(_table_text(schema_version=2), id="schema-2"),
+        pytest.param(_table_text(schema_version=None), id="no-schema"),
+        pytest.param(_table_text(tb=-1), id="tb-negative"),
+        pytest.param(_table_text(tb=True), id="tb-true"),
+        pytest.param(_table_text(rows=[]), id="rows-empty"),
+        pytest.param(_table_text(rows={"x": 0, "values": [0, 0]}), id="rows-not-list"),
     ],
 )
 def test_check_from_json_rejects_malformed_table(tmp_path, capsys, text):
@@ -533,7 +542,7 @@ def test_check_from_json_rejects_malformed_table(tmp_path, capsys, text):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    if not text.startswith("{"):  # refused by the JSON reader, which names the file
+    if not text.startswith(("{", "[{")):  # refused by the JSON reader, which names the file
         assert str(path) in err
 
 
@@ -547,6 +556,7 @@ def test_check_from_json_rejects_malformed_table(tmp_path, capsys, text):
         "conjecture --tb -1",
         "check --tb -1",
         "bids --tb 3 --kind tie --bid 9",
+        "bids --tb -1 --kind tie --bid 0",
         "play --tb 3 --x 2 --p 9 --marker L --engine-side L",
         "play --tb 3 --x -1 --p 1 --marker L --engine-side L",
         "check",
@@ -571,6 +581,8 @@ def test_out_of_range_arguments_exit_usage(tmp_path, capsys, command):
     assert err.startswith("error: ") and err.count("\n") == 1
     if "--x -1" in command:
         assert "heap" in err
+    if "--tb -" in command:
+        assert "total budget" in err
 
 
 @pytest.mark.parametrize(
@@ -600,6 +612,7 @@ def test_out_of_range_arguments_exit_usage(tmp_path, capsys, command):
         ),
         pytest.param("node\nnode a terminal 0\ntb 1\nbids all\n", id="node-no-name"),
         pytest.param("node a terminal 0\ntb 1\nbids\n", id="bids-no-argument"),
+        pytest.param("node a terminal 0\ntb 1\nbids 1,x\n", id="bid-not-integer"),
     ],
 )
 def test_malformed_ruleset_exits_usage(tmp_path, capsys, text):

@@ -39,6 +39,8 @@ def test_make_position_examples():
         make_position(5, -1, 0, Side.LEFT)
     with pytest.raises(BudgetOutOfRange):
         make_position(-1, 0, 0, Side.LEFT)
+    with pytest.raises(TypeError, match="marker must be a Side, got 'L'"):
+        make_position(5, 2, 1, "L")
 
 
 @pytest.mark.parametrize("tb, heap, p", [(5, 2, 6), (5, 2, -1), (5, -1, 0), (-1, 0, 0)])

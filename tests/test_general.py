@@ -8,6 +8,7 @@ from bcs.general import (
     GeneralRuleset,
     InvalidRuleset,
     RulesetParseError,
+    UViolation,
     check_property_U,
     general_values,
     make_unitary_ruleset,
@@ -204,6 +205,110 @@ def test_minimax_equals_maximin_when_u_holds(rs):
                 assert maximin(x, p, marker) == minimax(x, p, marker)
 
 
+def _reference_violations(ruleset):
+    """The three per-property scans that ``check_property_U`` once ran,
+    kept verbatim as the reference of its one pass per position."""
+    value = general_values(ruleset)
+    tb = ruleset.tb
+
+    def hat(x, p):
+        return value(x, p, Side.LEFT)
+
+    def plain(x, p):
+        return value(x, p, Side.RIGHT)
+
+    def scan_a():
+        for x in ruleset.positions:
+            for p in range(tb, 0, -1):
+                if hat(x, p) < hat(x, p - 1):
+                    return UViolation(
+                        "A", x, (p, p - 1), hat(x, p), hat(x, p - 1), "marker-left"
+                    )
+                if plain(x, p) < plain(x, p - 1):
+                    return UViolation(
+                        "A", x, (p, p - 1), plain(x, p), plain(x, p - 1), "marker-right"
+                    )
+        return None
+
+    def scan_b():
+        for x in ruleset.positions:
+            for p in range(tb, -1, -1):
+                if hat(x, p) < plain(x, p):
+                    return UViolation("B", x, (p,), hat(x, p), plain(x, p))
+        return None
+
+    def scan_c():
+        for x in ruleset.positions:
+            for p in range(tb - 1, -1, -1):
+                if hat(x, p) > plain(x, p + 1):
+                    return UViolation("C", x, (p, p + 1), hat(x, p), plain(x, p + 1))
+        return None
+
+    return tuple(v for v in (scan_a(), scan_b(), scan_c()) if v is not None)
+
+
+@st.composite
+def named_rulesets(draw):
+    """DAGs of 2-5 positions named by ints and strs, declared in any order,
+    with bid sets drawn with and without their small bids, so that some
+    states are invalid."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    tb = draw(st.integers(min_value=0, max_value=6))
+    names = [i if draw(st.booleans()) else f"s{i}" for i in range(n)]  # a topological order
+    edges = {Side.LEFT: {}, Side.RIGHT: {}}
+    for i, x in enumerate(names):
+        for y in names[i + 1 :]:
+            for side in Side:
+                if draw(st.booleans()):
+                    edges[side].setdefault(x, {})[y] = draw(st.integers(-3, 3))
+    return GeneralRuleset(
+        positions=tuple(draw(st.permutations(names))),
+        left_edges=edges[Side.LEFT],
+        right_edges=edges[Side.RIGHT],
+        penalties={x: draw(st.integers(-3, 3)) for x in names},
+        tb=tb,
+        bid_set=draw(st.frozensets(st.integers(min_value=0, max_value=tb), min_size=1)),
+    )
+
+
+def _outcome(check, rs):
+    try:
+        return check(rs)
+    except InvalidRuleset as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(named_rulesets())
+# A fails on the marker-right side only, declared out of topological order.
+@example(
+    GeneralRuleset(
+        positions=("s2", 1, "s0"),
+        left_edges={1: {"s2": 3}},
+        right_edges={"s0": {1: 2}},
+        penalties={"s0": 1, 1: -3},
+        tb=3,
+        bid_set=frozenset({1, 2}),
+    )
+)
+# Nobody can bid at Left budgets 1..3: refused at the richest of them.
+@example(
+    parse_ruleset("node t terminal 0\nnode a\nedge L a t 1\nedge R a t -1\ntb 4\nbids 4\n")
+)
+@example(make_unitary_ruleset(4, 8))
+def test_one_pass_matches_the_per_property_scans(rs):
+    """Each property's witness is the first in declaration order, richest
+    Left first, marker Left first for A; an invalid state is refused with
+    the same message."""
+    report = _outcome(check_property_U, rs)
+    expected = _outcome(_reference_violations, rs)
+    if isinstance(expected, str):
+        assert report == expected
+    else:
+        assert report.violations == expected
+        assert report.holds == (not expected)
+
+
 def _one_auction(rs, value, x, p, marker, minimax):
     """The literal max-min (or min-max) over both players' (bid, move)
     declarations at one state, given ``value`` at the successors."""
@@ -270,6 +375,14 @@ def test_reader_rejects_states_outside_the_ruleset(zugzwang):
     for p in (-1, 2):  # -1 would otherwise read the richest Left's value
         with pytest.raises(ValueError, match=rf"Left budget {p} outside 0\.\.1"):
             value("x1", p, Side.LEFT)
+
+
+def test_ruleset_rejects_a_negative_budget_and_an_empty_bid_set():
+    fields = dict(positions=("a",), left_edges={}, right_edges={}, penalties={})
+    with pytest.raises(ValueError, match="total budget must be >= 0, got -1"):
+        GeneralRuleset(**fields, tb=-1, bid_set=frozenset({0}))
+    with pytest.raises(InvalidRuleset, match="bid set must be non-empty"):
+        GeneralRuleset(**fields, tb=1, bid_set=frozenset())
 
 
 def test_cycle_detection():

@@ -100,6 +100,14 @@ def test_oracle_has_no_depth_limit():
     assert oracle_value(1, pos) == value(solve(1, 3000), pos)
 
 
+def test_oracle_rejects_a_position_for_another_budget():
+    pos = make_position(3, 2, 1, Side.LEFT)
+    with pytest.raises(ValueError, match="position built for tb=3, asked for tb=4"):
+        oracle_value(4, pos)
+    with pytest.raises(ValueError, match="position built for tb=3, asked for tb=2"):
+        bid_matrix(2, pos)
+
+
 def test_oracle_table_rejects_negative_arguments():
     with pytest.raises(ValueError):
         oracle_table(-1, 3)
