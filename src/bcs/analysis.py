@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import enum
 from functools import cache
-from itertools import accumulate, product
+from itertools import accumulate
 from typing import Callable, NamedTuple
 
-from .core import OutcomeTable, RichmanPosition, Side
+from .core import OutcomeTable, Side
 from .oracle import oracle_table
-from .solver import solve, value
+from .solver import solve
 
 
 class Counterexample(NamedTuple):
@@ -341,15 +341,17 @@ def check_oracle_equivalence(tb: int, x_max: int) -> InvariantReport:
 
     Every cell up to ``x_max`` is checked for both marker holders, so the
     zero-sum flip the solver relies on is exercised against independently
-    computed values.
+    computed values: ``-row[tb - p]`` against the marker-Right row.
     """
-    table, layers = solve(tb, x_max), oracle_table(tb, x_max)
-    for x, p in product(range(x_max + 1), range(tb + 1)):
-        for marker in (Side.LEFT, Side.RIGHT):
-            pos = RichmanPosition(tb=tb, heap=x, left_budget=p, marker=marker)
-            fast = value(table, pos)
-            slow = layers[x][pos.left_holds_marker][p]
-            if fast != slow:
-                cex = Counterexample(x, p, (fast, slow), f"marker={marker}")
-                return InvariantReport("oracle_equivalence", tb, x_max, cex)
+    table = solve(tb, x_max)
+    for x, layer in enumerate(oracle_table(tb, x_max)):
+        row = table.row(x)
+        for p in range(tb + 1):
+            for marker, fast, slow in (
+                (Side.LEFT, row[p], layer[True][p]),
+                (Side.RIGHT, -row[tb - p], layer[False][p]),
+            ):
+                if fast != slow:
+                    cex = Counterexample(x, p, (fast, slow), f"marker={marker}")
+                    return InvariantReport("oracle_equivalence", tb, x_max, cex)
     return InvariantReport("oracle_equivalence", tb, x_max)

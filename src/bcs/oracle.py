@@ -17,11 +17,12 @@ successor's value from the layer below.  The layer fill groups Right's
 replies into blocks instead, because it is the hot path of
 ``bcs check --with-oracle``; the tests check it against the matrix.
 
-Intended for desk scale: a layer costs O(tb^3).
+Intended for desk scale: a layer costs O(tb^2).
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple
 
 from .core import RichmanPosition, Side, classify_bid
@@ -31,14 +32,14 @@ from .core import RichmanPosition, Side, classify_bid
 Layer = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _maximin(prev: Layer, tb: int, p: int, left_marker: bool) -> int:
+def _maximin(prev: Layer, lows: Layer, tb: int, p: int, left_marker: bool) -> int:
     """What Left's best bid ``l = 0..p`` gets against Right's best reply
     ``r = 0..q``, read from the layer one pebble down.
 
     Right's replies to ``l`` fall into three blocks: every ``r < l`` loses
     outright and is worth ``1 + same[p - l]`` whatever ``r`` is, the tie
     hands the marker to its loser, and every ``r > l`` wins outright for
-    Right, worth ``same[p + r] - 1``, whose best is the minimum of one slice.
+    Right, worth ``same[p + r] - 1``; as ``p + q = tb``, their best is one suffix minimum.
     """
     q = tb - p
     same, other = prev[left_marker], prev[not left_marker]
@@ -50,7 +51,7 @@ def _maximin(prev: Layer, tb: int, p: int, left_marker: bool) -> int:
         if l <= q:
             replies.append(1 + other[p - l] if left_marker else other[p + l] - 1)
         if l < q:
-            replies.append(min(same[p + l + 1 : p + q + 1]) - 1)
+            replies.append(lows[left_marker][p + l + 1] - 1)
         column_mins.append(min(replies))
     return max(column_mins)
 
@@ -68,8 +69,9 @@ def oracle_table(tb: int, x_max: int) -> tuple[Layer, ...]:
     table = [((0,) * (tb + 1),) * 2]
     for _ in range(x_max):
         prev = table[-1]
+        lows = tuple(tuple(accumulate(reversed(row), min))[::-1] for row in prev)
         table.append(tuple(
-            tuple(_maximin(prev, tb, p, left_marker) for p in range(tb + 1))
+            tuple(_maximin(prev, lows, tb, p, left_marker) for p in range(tb + 1))
             for left_marker in (False, True)
         ))
     return tuple(table)
@@ -91,10 +93,6 @@ class BidMatrix(NamedTuple):
     ruleset; the matrix makes that saddle visible.
     """
 
-    tb: int
-    heap: int
-    left_budget: int
-    marker: Side
     entries: tuple[tuple[int, ...], ...]
 
     @property
@@ -132,4 +130,4 @@ def bid_matrix(tb: int, pos: RichmanPosition) -> BidMatrix:
         tuple(entry(l, r) for l in range(pos.left_budget + 1))
         for r in range(pos.right_budget + 1)
     )
-    return BidMatrix(tb, pos.heap, pos.left_budget, pos.marker, entries)
+    return BidMatrix(entries)

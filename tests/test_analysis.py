@@ -519,6 +519,14 @@ def _planted_oracle(cells):
     [
         (((8, 0, Side.LEFT), (7, 3, Side.RIGHT), (7, 3, Side.LEFT)), (7, 3, Side.LEFT, "marker=L")),
         (((7, 4, Side.LEFT), (7, 3, Side.RIGHT), (9, 0, Side.RIGHT)), (7, 3, Side.RIGHT, "marker=R")),
+        # heap 0, where every value is 0 and the flip reads the same as the row
+        (((0, 4, Side.LEFT), (0, 2, Side.RIGHT)), (0, 2, Side.RIGHT, "marker=R")),
+        (((0, 3, Side.LEFT), (1, 0, Side.RIGHT)), (0, 3, Side.LEFT, "marker=L")),
+        # both ends of each marker's row: the flip reads row[tb] at p = 0, row[0] at p = tb
+        (((3, 0, Side.LEFT), (3, 5, Side.RIGHT)), (3, 0, Side.LEFT, "marker=L")),
+        (((4, 5, Side.LEFT), (5, 0, Side.LEFT)), (4, 5, Side.LEFT, "marker=L")),
+        (((3, 0, Side.RIGHT), (3, 1, Side.LEFT)), (3, 0, Side.RIGHT, "marker=R")),
+        (((4, 5, Side.RIGHT), (6, 0, Side.RIGHT)), (4, 5, Side.RIGHT, "marker=R")),
     ],
 )
 def test_oracle_equivalence_reports_the_first_disagreement(monkeypatch, capsys, cells, first):

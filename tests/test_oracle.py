@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bcs.core import GameAlreadyOver, Side, classify_bid, make_position
 from bcs.oracle import bid_matrix, oracle_table, oracle_value
@@ -93,6 +93,44 @@ def test_oracle_table_matches_literal_recursion(tb, x_max):
             assert len(row) == tb + 1
             for p, v in enumerate(row):
                 assert v == _literal_value(make_position(tb, x, p, marker), memo)
+
+
+def _slice_maximin(prev, tb, p, left_marker):
+    """The layer fill before suffix minima: Right's best overbid read as the
+    minimum of one slice of the row below."""
+    q = tb - p
+    same, other = prev[left_marker], prev[not left_marker]
+    column_mins = []
+    for l in range(p + 1):
+        replies = []
+        if l > 0:
+            replies.append(1 + same[p - l])
+        if l <= q:
+            replies.append(1 + other[p - l] if left_marker else other[p + l] - 1)
+        if l < q:
+            replies.append(min(same[p + l + 1 : p + q + 1]) - 1)
+        column_mins.append(min(replies))
+    return max(column_mins)
+
+
+def _slice_table(tb, x_max):
+    table = [((0,) * (tb + 1),) * 2]
+    for _ in range(x_max):
+        prev = table[-1]
+        table.append(tuple(
+            tuple(_slice_maximin(prev, tb, p, left_marker) for p in range(tb + 1))
+            for left_marker in (False, True)
+        ))
+    return tuple(table)
+
+
+@settings(deadline=None)
+@given(tb=st.integers(min_value=0, max_value=24), x_max=st.integers(min_value=0, max_value=30))
+@example(tb=24, x_max=30)
+@example(tb=1, x_max=3)
+def test_oracle_table_matches_the_slice_fill(tb, x_max):
+    # one suffix minimum per row below gives every cell the slice minimum gave
+    assert oracle_table(tb, x_max) == _slice_table(tb, x_max)
 
 
 def test_oracle_has_no_depth_limit():
