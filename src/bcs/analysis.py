@@ -283,8 +283,10 @@ class BidGraph(NamedTuple):
         return f"{self.bid}{'T' if self.kind is BidGraphKind.TIE else 'W'}"
 
 
-def bid_graph(tb: int, kind: BidGraphKind, bid: int, reduced: bool = False) -> BidGraph:
-    """Build the bid graph at one bid size, optionally erasing dominated bids."""
+def bid_graph(tb: int, kind: BidGraphKind | str, bid: int, reduced: bool = False) -> BidGraph:
+    """Build the bid graph at one bid size, optionally erasing dominated bids.
+    ``kind`` may be a kind's value; an unknown one raises ``ValueError``."""
+    kind = BidGraphKind(kind)
     if tb < 0:
         raise ValueError(f"total budget must be >= 0, got {tb}")
     if not 0 <= bid <= tb:

@@ -59,20 +59,24 @@ _JSON_ROW = '    {{\n      "x": {},\n      "values": [\n        {}\n      ]\n   
 
 
 def _budget_columns(
-    tb: int, corner: str, labels: Sequence[object], rows: Sequence[Sequence[int]]
+    tb: int,
+    corner: str,
+    labels: Sequence[object],
+    rows: Iterable[Sequence[int]],
+    held: Sequence[Sequence[int]],
 ) -> Iterator[str]:
     """Right-aligned columns of per-budget values under a header of the
     budgets, richest first: one line per label, holding its row's ``tb + 1``
-    values.
+    values.  Every row is one of ``held``.
 
     Lines are yielded one at a time, once the widths are known.  The widest
-    decimal in a column is that of the header budget or of the column's
-    least or greatest value, so no cell is rendered twice or held.
+    decimal in a column is that of the header budget or of the least or
+    greatest value ``held`` has there, so no cell is rendered twice or held.
     """
     label_width = max(len(corner), max(map(len, map(str, labels))))
     widths = []
     for p in range(tb, -1, -1):
-        column = [values[p] for values in rows]
+        column = [values[p] for values in held]
         widths.append(max(len(str(v)) for v in (p, min(column), max(column))))
 
     def line(label: object, values: Iterable[int]) -> str:
@@ -98,8 +102,8 @@ def _table_chunks(table: OutcomeTable, fmt: str) -> Iterator[str]:
         )
         yield from _json({"tb": table.tb, "x_max": table.x_max}, rows)
     else:
-        rows = [*map(table.row, heaps)]
-        yield from _budget_columns(table.tb, "x \\ p^", heaps, rows)
+        rows = map(table.row, heaps)
+        yield from _budget_columns(table.tb, "x \\ p^", heaps, rows, table.rows)
 
 
 def load_outcome_table_json(data: dict) -> OutcomeTable:
@@ -142,9 +146,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _limit_fields(tb: int) -> tuple[automaton.Rows, dict, str]:
-    """The ``(even, odd)`` limit rows of ``tb``, their JSON fields ``tb``,
-    ``bound``, ``x_star``, ``even`` and ``odd``, and their text header."""
+def _limit_fields(tb: int) -> tuple[dict, str]:
+    """The JSON fields ``tb``, ``bound``, ``x_star``, ``even`` and ``odd`` of
+    the limit rows of ``tb``, and their text header."""
     limits = solver.limit_rows(tb)
     bound = automaton.convergence_bound(tb)
     fields = {
@@ -155,15 +159,16 @@ def _limit_fields(tb: int) -> tuple[automaton.Rows, dict, str]:
         "odd": limits.odd_row,
     }
     header = f"tb = {tb}  B(tb) = {bound}  x_star = {limits.x_star}\n"
-    return (limits.even_row, limits.odd_row), fields, header
+    return fields, header
 
 
 def cmd_limits(args: argparse.Namespace) -> int:
-    rows, fields, header = _limit_fields(args.tb)
+    fields, header = _limit_fields(args.tb)
     if args.format == "json":
         _emit(_json(fields), args.out)
     else:
-        columns = _budget_columns(args.tb, "p^", ("x even", "x odd"), rows)
+        rows = fields["even"], fields["odd"]
+        columns = _budget_columns(args.tb, "p^", ("x even", "x odd"), rows, rows)
         _emit([header, *columns], args.out)
     return EXIT_OK
 
@@ -190,10 +195,10 @@ def _read_text(path: str) -> str:
 
 def _check_ruleset(args: argparse.Namespace) -> int:
     ruleset = general.parse_ruleset(_read_text(args.ruleset))
-    report = general.check_property_U(ruleset)
+    violations = general.check_property_U(ruleset)
     if args.format == "json":
         payload = {
-            "holds": report.holds,
+            "holds": not violations,
             "violations": [
                 {
                     "property": v.prop,
@@ -203,22 +208,20 @@ def _check_ruleset(args: argparse.Namespace) -> int:
                     "rhs": v.rhs,
                     "detail": v.detail,
                 }
-                for v in report.violations
+                for v in violations
             ],
         }
         _emit(_json(payload), args.out)
     else:
-        lines = []
-        if report.holds:
-            lines.append("uniqueness properties hold")
-        for v in report.violations:
+        lines = [] if violations else ["uniqueness properties hold"]
+        for v in violations:
             relation = ">" if v.prop == "C" else "<"
             lines.append(
                 f"FAIL property {v.prop} at {v.node} budgets={v.budgets}: "
                 f"{v.lhs} {relation} {v.rhs}"
             )
         _emit(["\n".join(lines) + "\n"], args.out)
-    return EXIT_OK if report.holds else EXIT_CHECK_FAILED
+    return EXIT_CHECK_FAILED if violations else EXIT_OK
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -277,14 +280,14 @@ def cmd_automaton(args: argparse.Namespace) -> int:
             step = solver._next_row(tb, even), solver._next_row(tb, odd)
             verdict = "holds" if step == (odd, even) else "FAILS"
             chunks.append(f"seed {name} (2-cycle of the recursion: {verdict})\n")
-            chunks += _budget_columns(tb, "p^", ("x even", "x odd"), (even, odd))
+            chunks += _budget_columns(tb, "p^", ("x even", "x odd"), (even, odd), (even, odd))
         _emit(chunks, args.out)
     return EXIT_OK
 
 
 def cmd_conjecture(args: argparse.Namespace) -> int:
-    rows, fields, header = _limit_fields(args.tb)
-    report = automaton.conjecture_report(rows)
+    fields, header = _limit_fields(args.tb)
+    report = automaton.conjecture_report((fields["even"], fields["odd"]))
     if args.format == "json":
         payload = {
             **fields,
@@ -305,8 +308,7 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
 
 
 def cmd_bids(args: argparse.Namespace) -> int:
-    kind = analysis.BidGraphKind(args.kind)
-    graph = analysis.bid_graph(args.tb, kind, args.bid, args.reduced)
+    graph = analysis.bid_graph(args.tb, args.kind, args.bid, args.reduced)
     if args.format == "json":
         _emit(_json(analysis.bid_graph_to_json_dict(graph)), args.out)
     else:
@@ -314,16 +316,10 @@ def cmd_bids(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _engine_bid(table: OutcomeTable, pos, engine_side: Side) -> int:
-    canonical = min(solver.equilibrium_bids(table, pos))
-    return canonical.left_bid if engine_side is Side.LEFT else canonical.right_bid
-
-
 def cmd_play(args: argparse.Namespace) -> int:
-    engine_side = Side.LEFT if args.engine_side == "L" else Side.RIGHT
-    marker = Side.LEFT if args.marker == "L" else Side.RIGHT
+    engine_side = Side(args.engine_side)
     human_side = engine_side.opponent
-    pos = make_position(args.tb, args.x, args.p, marker)
+    pos = make_position(args.tb, args.x, args.p, Side(args.marker))
     table = solver.solve(args.tb, args.x)
     score = 0
     print(f"you play {human_side.name.title()}; the engine plays "
@@ -333,7 +329,7 @@ def cmd_play(args: argparse.Namespace) -> int:
             f"heap={pos.heap} score={score:+d} budgets L={pos.left_budget} "
             f"R={pos.right_budget} marker={pos.marker}"
         )
-        engine_bid = _engine_bid(table, pos, engine_side)
+        canonical = min(solver.equilibrium_bids(table, pos))
         budget = pos.left_budget if human_side is Side.LEFT else pos.right_budget
         human_bid = None
         while human_bid is None:
@@ -352,9 +348,9 @@ def cmd_play(args: argparse.Namespace) -> int:
             else:
                 print(f"bid must be within 0..{budget}")
         if engine_side is Side.LEFT:
-            l, r = engine_bid, human_bid
+            l, r = canonical.left_bid, human_bid
         else:
-            l, r = human_bid, engine_bid
+            l, r = human_bid, canonical.right_bid
         bid, pos = classify_bid(pos, l, r)
         winner = bid.winner.side
         removal = 1 if winner is Side.LEFT else -1
@@ -438,18 +434,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
+    except (*_USAGE_ERRORS, GameError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except solver.ConvergenceBoundExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except GameError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, _USAGE_ERRORS):
+            return EXIT_USAGE
+        if isinstance(exc, solver.ConvergenceBoundExceeded):
+            return EXIT_NO_CONVERGENCE
         return EXIT_CHECK_FAILED
 
 

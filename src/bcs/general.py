@@ -15,9 +15,9 @@ whenever the ruleset satisfies the three uniqueness properties checked by
 * (B) marker monotonicity: holding the marker never hurts;
 * (C) marker worth: the marker is never worth more than one dollar.
 
-Every state is filled once, bottom-up, successors first, in the
-topological order found when the ruleset is built, so no depth limit caps
-the length of play; the reader then answers any state from that one table.
+Every state is filled once, bottom-up, successors first, in an order
+checked for cycles when the ruleset is built, so no depth limit caps the
+length of play; the reader then answers any state from that one table.
 If a player cannot afford any allowed bid, the other player acts unopposed
 (paying some allowed bid, marker untouched).  A state where neither can bid
 at a position where play should continue is invalid and raises
@@ -77,7 +77,6 @@ class _RulesetFields(NamedTuple):
     penalties: Mapping[Node, int]
     tb: int
     bid_set: frozenset[int]
-    order: tuple[Node, ...]
 
 
 class GeneralRuleset(_RulesetFields):
@@ -86,8 +85,7 @@ class GeneralRuleset(_RulesetFields):
     ``left_edges`` / ``right_edges`` map a position to that player's moves
     out of it, each with its signed score contribution.  ``penalties``
     applies to positions where an auction winner is stuck without a move;
-    unmentioned positions default to 0.  ``order`` is derived, not given:
-    the positions with every move's source before its target.
+    unmentioned positions default to 0.
     """
 
     __slots__ = ()
@@ -104,6 +102,7 @@ class GeneralRuleset(_RulesetFields):
         positions = tuple(positions)
         left_edges = {x: dict(ys) for x, ys in left_edges.items()}
         right_edges = {x: dict(ys) for x, ys in right_edges.items()}
+        penalties = dict(penalties)
         bid_set = frozenset(bid_set)
         if tb < 0:
             raise ValueError(f"total budget must be >= 0, got {tb}")
@@ -120,13 +119,9 @@ class GeneralRuleset(_RulesetFields):
             if x not in known or not set(ys) <= known:
                 targets = ", ".join(sorted(map(repr, ys)))
                 raise ValueError(f"move {x!r} -> [{targets}] references unknown positions")
-        order = _topological_order(positions, left_edges, right_edges)
-        return super().__new__(
-            cls, positions, left_edges, right_edges, penalties, tb, bid_set, order
-        )
-
-    def __getnewargs__(self) -> tuple:
-        return tuple(self)[:-1]  # ``order`` is rebuilt, not passed
+        rs = super().__new__(cls, positions, left_edges, right_edges, penalties, tb, bid_set)
+        _fill_order(rs)  # raises CyclicRuleset
+        return rs
 
     def edges(self, side: Side, x: Node) -> Mapping[Node, int]:
         """``side``'s moves out of ``x``, each with its weight."""
@@ -137,23 +132,19 @@ class GeneralRuleset(_RulesetFields):
         return self.penalties.get(x, 0)
 
 
-def _topological_order(
-    positions: tuple[Node, ...],
-    left_edges: Mapping[Node, Mapping[Node, int]],
-    right_edges: Mapping[Node, Mapping[Node, int]],
-) -> tuple[Node, ...]:
-    """Positions with every move's source before its target."""
-    succ = {x: set(left_edges.get(x, ())) | set(right_edges.get(x, ())) for x in positions}
+def _fill_order(rs: GeneralRuleset) -> tuple[Node, ...]:
+    """The positions with every move's target before its source."""
+    succ = {x: {*rs.edges(Side.LEFT, x), *rs.edges(Side.RIGHT, x)} for x in rs.positions}
     try:
-        return tuple(reversed(tuple(TopologicalSorter(succ).static_order())))
+        return tuple(TopologicalSorter(succ).static_order())
     except CycleError:
         raise CyclicRuleset("move graph contains a cycle") from None
 
 
 def _fill(rs: GeneralRuleset, minimax: bool) -> _Table:
-    """Values of every state, filled in reverse topological order."""
+    """Values of every state, each position's after its successors'."""
     table: _Table = {}
-    for x in reversed(rs.order):
+    for x in _fill_order(rs):
         table[x] = {
             marker: [_auction(rs, table, x, p, marker, minimax) for p in range(rs.tb + 1)]
             for marker in Side
@@ -244,16 +235,9 @@ class UViolation(NamedTuple):
     detail: str = ""
 
 
-class UReport(NamedTuple):
-    violations: tuple[UViolation, ...]
-
-    @property
-    def holds(self) -> bool:
-        return not self.violations
-
-
-def check_property_U(ruleset: GeneralRuleset) -> UReport:
-    """Check budget monotonicity, marker monotonicity, and marker worth.
+def check_property_U(ruleset: GeneralRuleset) -> tuple[UViolation, ...]:
+    """Check budget monotonicity, marker monotonicity, and marker worth: the
+    violations, none when all three hold.
 
     Each position's maximin rows are read once, richest Left first and the
     marker-Left row first, so a state nobody can bid at is refused at its
@@ -278,7 +262,7 @@ def check_property_U(ruleset: GeneralRuleset) -> UReport:
                 found.append(UViolation("C", x, (p, p + 1), hat[p], plain[p + 1]))
             for v in found:
                 first.setdefault(v.prop, v)
-    return UReport(tuple(sorted(first.values(), key=lambda v: v.prop)))
+    return tuple(sorted(first.values(), key=lambda v: v.prop))
 
 
 def make_unitary_ruleset(tb: int, x_max: int) -> GeneralRuleset:

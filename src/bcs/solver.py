@@ -113,9 +113,14 @@ def _rows(tb: int) -> Iterator[tuple[int, ...]]:
 
     Stops before the first row that equals the row two before it.  Row
     ``x + 1`` depends only on row ``x``, so from there the last two rows
-    yielded repeat in turn for ever.  At least two rows are yielded.
+    yielded repeat in turn for ever.  At least two rows are yielded.  A
+    ``tb`` too large for row 0 to be built raises ``ValueError``.
     """
-    older, old, row = None, None, (0,) * (tb + 1)
+    try:
+        row = (0,) * (tb + 1)
+    except (MemoryError, OverflowError):
+        raise ValueError(f"total budget {tb} is too large to hold a row") from None
+    older = old = None
     while row != older:
         yield row
         older, old, row = old, row, _next_row(tb, row)
@@ -130,7 +135,7 @@ def solve(tb: int, x_max: int) -> OutcomeTable:
         raise ValueError(f"total budget must be >= 0, got {tb}")
     if x_max < 0:
         raise ValueError(f"x_max must be >= 0, got {x_max}")
-    return OutcomeTable(tb, tuple(islice(_rows(tb), x_max + 1)), x_max)
+    return OutcomeTable(tb, tuple(row for _, row in zip(range(x_max + 1), _rows(tb))), x_max)
 
 
 def value(table: OutcomeTable, pos: RichmanPosition) -> int:

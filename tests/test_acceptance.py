@@ -161,10 +161,9 @@ def test_criterion_08_forced_win_sharpness():
 def test_criterion_09_property_u_counterexample():
     ruleset = parse_ruleset(ZUGZWANG_RULESET)
     check_property_U(ruleset)  # warm-up
-    report, elapsed = _timed(0.001, lambda: check_property_U(ruleset))
-    assert not report.holds
-    assert len(report.violations) == 1
-    violation = report.violations[0]
+    violations, elapsed = _timed(0.001, lambda: check_property_U(ruleset))
+    assert len(violations) == 1
+    violation = violations[0]
     assert violation.prop == "B"
     assert (violation.lhs, violation.rhs) == (0, 1)
     print(f"PASS criterion 9: single (B)-violation 0 < 1 ({elapsed * 1e6:.0f}us)")

@@ -146,6 +146,18 @@ def test_tie_graph_infeasible_bid_is_empty():
     assert bid_graph(1, BidGraphKind.TIE, 1).edges == ()
 
 
+@pytest.mark.parametrize("kind", list(BidGraphKind))
+def test_bid_graph_takes_a_kind_or_its_value(kind):
+    by_value = bid_graph(3, kind.value, 0)
+    assert by_value == bid_graph(3, kind, 0) and by_value.kind is kind
+    assert bid_graph_to_json_dict(by_value)["kind"] == kind.value
+
+
+def test_bid_graph_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="'bogus' is not a valid BidGraphKind"):
+        bid_graph(3, "bogus", 0)
+
+
 def test_holder_win_graphs_match_reduction():
     full = bid_graph(5, BidGraphKind.HOLDER_WIN, 2)
     assert {(e.src, e.dst) for e in full.edges} == {(2, 0), (3, 1), (4, 2), (5, 3)}

@@ -382,6 +382,18 @@ GOLDEN_CORPUS = [
 ]
 SOLVE_OUT_TB6_X20_SHA256 = "98926765195e0c414efbee796b4934980f0041488b1d1bb32343818c54619c57"
 
+# sha256 of the exit code, stdout and stderr, joined by NULs, of each command
+# reading ``stdin``, captured before ``main`` printed its errors from one
+# handler and ``play`` read its sides as ``Side`` values.  The first game is
+# the opening example; the second re-prompts twice before its first bid.
+GOLDEN_STREAMS = [
+    ("play --tb 5 --x 2 --p 1 --marker L --engine-side R", "0\n1\n", "178b1ef963fd9c4ff506f46860ddd5c275268f43d9a4c4197284f30ce08d94ab"),
+    ("play --tb 7 --x 3 --p 5 --marker R --engine-side L", "x\n9\n1\n0\n2\n", "9d5dfe94bedebb264a200810ac441e7af001b3ce6c164792ed9ca3f2f9146259"),
+    ("solve --tb -1 --x-max 3", "", "a446d0540d93f260ce3af7f2f325f0236e1483fba396d1cd68c9988044956432"),
+    ("check", "", "9e4edfccda0d708f8b988dd57d9b600cde3bebbef484be665656980b054a8824"),
+    ("bids --tb 3 --kind tie --bid 9", "", "7c36219f8f692e118143f65ae9ad2c077cb07234b3ff984c63c960fdb7c9a9a6"),
+]
+
 
 def _sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -400,6 +412,13 @@ def test_golden_corpus(tmp_path, capsys, command, exit_code, digest):
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == exit_code
     assert _sha256(out) == digest
+
+
+@pytest.mark.parametrize("command,stdin,digest", GOLDEN_STREAMS)
+def test_golden_streams(capsys, monkeypatch, command, stdin, digest):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))  # ``input`` prompts on stdout
+    code, out, err = run_cli(capsys, *command.split())
+    assert _sha256(f"{code}\0{out}\0{err}") == digest
 
 
 @st.composite
@@ -445,22 +464,34 @@ def test_streamed_solve_formats_match_whole_documents(table):
     assert load_outcome_table_json(json.loads(documents["json"])) == table
 
 
-def test_solve_json_memory_is_bounded_by_the_table(tmp_path):
-    # Rendered row by row, the 370 KB document never exists in memory whole;
-    # rendered whole, it held about 2.9 MB beyond the table.
-    argv = ["solve", "--tb", "48", "--x-max", "579", "--format", "json",
-            "--out", str(tmp_path / "t48.json")]
+def _solve_peak_beyond_the_table(tb, x_max, fmt, out):
+    """The peak memory of ``bcs solve`` writing ``out`` less that of solving."""
+    argv = ["solve", "--tb", str(tb), "--x-max", str(x_max), "--format", fmt,
+            "--out", str(out)]
     assert main(argv) == 0  # imports and first-call caches are not counted
     tracemalloc.start()
     try:
-        solver.solve(48, 579)
+        solver.solve(tb, x_max)
         solve_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         assert main(argv) == 0
         main_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert main_peak - solve_peak < 256 * 1024
+    return main_peak - solve_peak
+
+
+def test_solve_json_memory_is_bounded_by_the_table(tmp_path):
+    # Rendered row by row, the 370 KB document never exists in memory whole;
+    # rendered whole, it held about 2.9 MB beyond the table.
+    assert _solve_peak_beyond_the_table(48, 579, "json", tmp_path / "t48.json") < 256 * 1024
+
+
+def test_solve_text_table_memory_is_bounded_by_the_table(tmp_path):
+    # The column widths come from the stored rows and each heap's line is
+    # rendered as it is written; a list of all 50,001 rows, and one column
+    # per budget built from it, held about 1.4 MB beyond the table.
+    assert _solve_peak_beyond_the_table(5, 50_000, "table", tmp_path / "t5.txt") < 256 * 1024
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
@@ -568,6 +599,13 @@ def test_check_from_json_rejects_malformed_table(tmp_path, capsys, text):
         "check --from-json TABLE --x-max 5",
         "check --ruleset RULESET --with-oracle",
         "check --ruleset RULESET --x-max 5",
+        # Too large to build row 0: refused before anything is allocated.
+        "limits --tb 2305843009213693952",
+        "limits --tb 10000000000000000000",
+        "solve --tb 2305843009213693952 --x-max 3",
+        "conjecture --tb 10000000000000000000",
+        "check --tb 2305843009213693952",
+        "play --tb 10000000000000000000 --x 2 --p 1 --marker L --engine-side R",
     ],
 )
 def test_out_of_range_arguments_exit_usage(tmp_path, capsys, command):
@@ -583,6 +621,14 @@ def test_out_of_range_arguments_exit_usage(tmp_path, capsys, command):
         assert "heap" in err
     if "--tb -" in command:
         assert "total budget" in err
+    if re.search(r"--tb \d{19}", command):
+        assert "is too large to hold a row" in err
+
+
+def test_check_takes_any_x_max(capsys):
+    code, out, err = run_cli(capsys, "check", "--tb", "5", "--x-max", str(10**19))
+    assert (code, err) == (0, "")
+    assert out.count("tb=5 x<=10000000000000000000\n") == len(out.splitlines()) == 10
 
 
 @pytest.mark.parametrize(

@@ -220,7 +220,7 @@ def test_outcome_table_refuses_a_repeat_of_fewer_than_two_rows():
 
 def _one_of_each_record():
     pos = make_position(2, 1, 1, Side.LEFT)
-    u_report = general.check_property_U(general.parse_ruleset(ZUGZWANG_RULESET))
+    violations = general.check_property_U(general.parse_ruleset(ZUGZWANG_RULESET))
     graph = analysis.bid_graph(2, analysis.BidGraphKind.TIE, 0)
     report = analysis.InvariantReport("parity", 2, 1, analysis.Counterexample(1, 0, (0,)))
     return [
@@ -230,8 +230,7 @@ def _one_of_each_record():
         solver.limit_rows(2),
         oracle.bid_matrix(2, pos),
         general.make_unitary_ruleset(2, 2),
-        u_report.violations[0],
-        u_report,
+        violations[0],
         report.counterexample,
         report,
         graph.edges[0],

@@ -40,10 +40,9 @@ def test_zugzwang_minimax_agrees(zugzwang):
 
 
 def test_zugzwang_marker_monotonicity_fails(zugzwang):
-    report = check_property_U(zugzwang)
-    assert not report.holds
-    assert len(report.violations) == 1
-    v = report.violations[0]
+    violations = check_property_U(zugzwang)
+    assert len(violations) == 1
+    v = violations[0]
     assert v.prop == "B"
     assert v.node == "x1"
     assert v.budgets == (1,)
@@ -52,7 +51,7 @@ def test_zugzwang_marker_monotonicity_fails(zugzwang):
 
 def test_single_terminal_holds_vacuously():
     rs = parse_ruleset("node t terminal 0\ntb 2\nbids all\n")
-    assert check_property_U(rs).holds
+    assert check_property_U(rs) == ()
     assert general_values(rs)("t", 1, Side.LEFT) == 0
 
 
@@ -75,9 +74,9 @@ def test_unitary_encoding_matches_solver():
 
 def test_unitary_is_in_u():
     for tb in range(9):
-        assert check_property_U(make_unitary_ruleset(tb, 20)).holds
+        assert check_property_U(make_unitary_ruleset(tb, 20)) == ()
     # so is the two-pebble subtraction game, an example of the order test below
-    assert check_property_U(_two_step_subtraction(3, 7)).holds
+    assert check_property_U(_two_step_subtraction(3, 7)) == ()
 
 
 def _two_step_subtraction(tb: int, x_max: int) -> GeneralRuleset:
@@ -96,7 +95,7 @@ def _two_step_subtraction(tb: int, x_max: int) -> GeneralRuleset:
 def test_deep_chain_has_no_depth_limit():
     rs = make_unitary_ruleset(0, 3000)
     assert general_values(rs)(3000, 0, Side.LEFT) == 0
-    assert check_property_U(rs).holds
+    assert check_property_U(rs) == ()
 
 
 def test_fill_limit_counts_states_and_payoffs():
@@ -194,7 +193,7 @@ def test_minimax_equals_maximin_when_u_holds(rs):
     """The uniqueness theorem: when properties A, B and C hold, both
     declaration orders give the same value at every state."""
     try:
-        holds = check_property_U(rs).holds
+        holds = not check_property_U(rs)
     except InvalidRuleset:  # some state has no bidder
         holds = False
     assume(holds)
@@ -300,13 +299,7 @@ def test_one_pass_matches_the_per_property_scans(rs):
     """Each property's witness is the first in declaration order, richest
     Left first, marker Left first for A; an invalid state is refused with
     the same message."""
-    report = _outcome(check_property_U, rs)
-    expected = _outcome(_reference_violations, rs)
-    if isinstance(expected, str):
-        assert report == expected
-    else:
-        assert report.violations == expected
-        assert report.holds == (not expected)
+    assert _outcome(check_property_U, rs) == _outcome(_reference_violations, rs)
 
 
 def _one_auction(rs, value, x, p, marker, minimax):
@@ -385,6 +378,13 @@ def test_ruleset_rejects_a_negative_budget_and_an_empty_bid_set():
         GeneralRuleset(**fields, tb=1, bid_set=frozenset())
 
 
+def test_ruleset_copies_its_penalties():
+    penalties = {"t": 1}
+    rs = GeneralRuleset(("t",), {}, {}, penalties, 1, frozenset({0}))
+    penalties["t"] = 7
+    assert (rs.penalty("t"), general_values(rs)("t", 1, Side.LEFT)) == (1, 1)
+
+
 def test_cycle_detection():
     with pytest.raises(CyclicRuleset):
         parse_ruleset(
@@ -451,8 +451,7 @@ def test_sign_constraints_protect_budget_and_worth_properties(rs):
     monotonicity (A) and marker worth (C) have never been observed to fail
     under these constraints, and that is what this fuzz pins down.
     """
-    report = check_property_U(rs)
-    assert all(v.prop == "B" for v in report.violations)
+    assert all(v.prop == "B" for v in check_property_U(rs))
 
 
 def test_marker_zugzwang_despite_favorable_signs():
@@ -475,6 +474,4 @@ def test_marker_zugzwang_despite_favorable_signs():
     value = general_values(rs)
     assert value("a", 0, Side.LEFT) == -1
     assert value("a", 0, Side.RIGHT) == 0
-    report = check_property_U(rs)
-    assert not report.holds
-    assert [v.prop for v in report.violations] == ["B"]
+    assert [v.prop for v in check_property_U(rs)] == ["B"]

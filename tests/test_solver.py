@@ -217,6 +217,21 @@ def test_solve_input_validation():
         solve(3, -1)
 
 
+def test_solve_takes_any_x_max():
+    table = solve(5, 10**19)
+    assert table.x_max == 10**19 and len(table.rows) == limit_rows(5).x_star + 2
+    assert table.row(10**19) == limit_rows(5).even_row
+
+
+# Each fails building row 0, before anything is allocated for it.
+@pytest.mark.parametrize("tb", [2**61, 10**19])
+def test_a_total_budget_too_large_for_a_row_is_refused(tb):
+    with pytest.raises(ValueError, match=f"total budget {tb} is too large to hold a row"):
+        solve(tb, 3)
+    with pytest.raises(ValueError, match=f"total budget {tb} is too large to hold a row"):
+        limit_rows(tb)
+
+
 def test_convergence_error_is_exported():
     assert issubclass(ConvergenceBoundExceeded, Exception)
 
