@@ -1,20 +1,19 @@
-"""Executable invariants over solved tables, forced-win counting, bid graphs.
+"""Executable invariants over solved tables, the oracle check, bid graphs.
 
 Every inequality the solved tables are known to satisfy is implemented here
 as a scan that either passes or pins down the first offending cell.  The
-forced-win thresholds get their own adversarial search, deliberately not
-routed through the equilibrium solver, so the closed forms are checked by
-an independent mechanism.
+solver's tables are also compared cell by cell with :mod:`bcs.oracle`, the
+independent mechanism: it shares nothing with :mod:`bcs.solver` but the
+core types.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import cache
 from itertools import accumulate
 from typing import Callable, NamedTuple
 
-from .core import OutcomeTable, Side
+from .core import OutcomeTable, Side, zero_row
 from .oracle import oracle_table
 from .solver import solve
 
@@ -190,58 +189,6 @@ def run_invariant_suite_on(table: OutcomeTable) -> list[InvariantReport]:
     ]
 
 
-def forced_win_threshold(x: int, q: int, marker: Side) -> int:
-    """Closed-form Left budget needed to win ``x`` straight auctions against
-    ``q`` dollars.
-
-    With the marker, ``(2^x - 1) q + 2^(x-1) - 1``; without it,
-    ``(2^x - 1)(q + 1)``.
-    """
-    if x < 1:
-        raise ValueError(f"need at least one move, got x={x}")
-    if q < 0:
-        raise ValueError(f"opponent budget must be >= 0, got {q}")
-    if marker is Side.LEFT:
-        return (2**x - 1) * q + 2 ** (x - 1) - 1
-    return (2**x - 1) * (q + 1)
-
-
-def left_can_force_final_wins(x: int, p: int, q: int, marker: Side) -> bool:
-    """Adversarial search: can Left win the next ``x`` auctions outright?
-
-    Left commits to a bid; she must defeat every feasible Right bid (ties
-    only count while she holds the marker, and cost her the marker) and
-    still force the remaining rounds from the resulting budgets.  The cache
-    lives for one call.
-    """
-
-    @cache
-    def wins(x: int, p: int, q: int, marker: Side) -> bool:
-        if x == 0:
-            return True
-
-        def beats(l: int, r: int) -> bool:  # and forces the rest from there
-            if l > r:
-                return wins(x - 1, p - l, q + l, marker)
-            return l == r and marker is Side.LEFT and wins(x - 1, p - l, q + l, Side.RIGHT)
-
-        return any(all(beats(l, r) for r in range(q + 1)) for l in range(p + 1))
-
-    return wins(x, p, q, marker)
-
-
-def verify_forced_wins(tb: int, x: int) -> InvariantReport:
-    """Check the closed-form thresholds against the search for every split."""
-    for marker in (Side.LEFT, Side.RIGHT):
-        for p in range(tb + 1):
-            expected = p >= forced_win_threshold(x, tb - p, marker)
-            got = left_can_force_final_wins(x, p, tb - p, marker)
-            if got != expected:
-                cex = Counterexample(x, p, (int(expected), int(got)), f"marker={marker}")
-                return InvariantReport("forced_win_threshold", tb, x, cex)
-    return InvariantReport("forced_win_threshold", tb, x)
-
-
 class BidGraphKind(enum.Enum):
     """Which family of auction resolutions a bid graph depicts."""
 
@@ -291,6 +238,7 @@ def bid_graph(tb: int, kind: BidGraphKind | str, bid: int, reduced: bool = False
         raise ValueError(f"total budget must be >= 0, got {tb}")
     if not 0 <= bid <= tb:
         raise ValueError(f"bid {bid} outside 0..{tb}")
+    zero_row(tb)  # refuses a tb too large to hold a row
     edges = []
     for m in range(tb + 1):
         opp = tb - m

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Literal, NamedTuple
 
-from .core import GameError
+from .core import GameError, zero_row
 
 
 class ParityError(GameError):
@@ -122,6 +122,7 @@ def automaton_fixed_point(tb: int, beta_mode: BetaMode = "truncated") -> Rows:
     """
     if tb < 0:
         raise ValueError(f"total budget must be >= 0, got {tb}")
+    zero_row(tb)  # refuses a tb too large to hold a row
     if tb % 2 == 0:
         even = tuple(alpha_even(2 * p - tb) for p in range(tb + 1))
         odd = tuple(1 - even[tb - p] for p in range(tb + 1))

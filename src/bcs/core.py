@@ -78,6 +78,15 @@ class BidWinner(enum.Enum):
         return self in (BidWinner.LEFT_TIE, BidWinner.RIGHT_TIE)
 
 
+def zero_row(tb: int) -> tuple[int, ...]:
+    """``tb + 1`` zeros: row 0 of every table.  A ``tb`` too large for them
+    raises ``ValueError``."""
+    try:
+        return (0,) * (tb + 1)
+    except (MemoryError, OverflowError):
+        raise ValueError(f"total budget {tb} is too large to hold a row") from None
+
+
 class _PositionFields(NamedTuple):
     tb: int
     heap: int

@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import NamedTuple
 
-from .core import RichmanPosition, Side, classify_bid
+from .core import RichmanPosition, Side, classify_bid, zero_row
 
 # ``layer[left_marker][p]``: the score with Left holding ``p`` dollars, for
 # a marker-Right holder at index 0 (False) and marker-Left at 1 (True).
@@ -66,7 +66,7 @@ def oracle_table(tb: int, x_max: int) -> tuple[Layer, ...]:
         raise ValueError(f"total budget must be >= 0, got {tb}")
     if x_max < 0:
         raise ValueError(f"x_max must be >= 0, got {x_max}")
-    table = [((0,) * (tb + 1),) * 2]
+    table = [(zero_row(tb),) * 2]
     for _ in range(x_max):
         prev = table[-1]
         lows = tuple(tuple(accumulate(reversed(row), min))[::-1] for row in prev)

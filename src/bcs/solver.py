@@ -45,6 +45,7 @@ from .core import (
     InfeasibleBid,
     OutcomeTable,
     RichmanPosition,
+    zero_row,
 )
 
 
@@ -116,10 +117,7 @@ def _rows(tb: int) -> Iterator[tuple[int, ...]]:
     yielded repeat in turn for ever.  At least two rows are yielded.  A
     ``tb`` too large for row 0 to be built raises ``ValueError``.
     """
-    try:
-        row = (0,) * (tb + 1)
-    except (MemoryError, OverflowError):
-        raise ValueError(f"total budget {tb} is too large to hold a row") from None
+    row = zero_row(tb)
     older = old = None
     while row != older:
         yield row

@@ -4,6 +4,8 @@ Rows are indexed by Left's budget ascending (p = 0..tb); published tables
 list budgets the other way around, so mirror before comparing with them.
 """
 
+from bcs.core import Side
+
 # Total budget 5, heap sizes 0..2.  Contains the worked one-dollar-tie cell
 # (x=2, p=1) whose value is 0.
 TB5_ROWS = (
@@ -11,6 +13,19 @@ TB5_ROWS = (
     (-1, -1, -1, 1, 1, 1),
     (-2, 0, 0, 0, 2, 2),
 )
+
+
+def forced_win_threshold(x: int, q: int, marker: Side) -> int:
+    """The least budget with which Left wins all of the next ``x >= 1``
+    auctions against ``q`` dollars, ``marker`` holding the marker.
+
+    With the marker, ``(2^x - 1) q + 2^(x-1) - 1``; without it,
+    ``(2^x - 1)(q + 1)``.  Read for Right by swapping the sides.
+    """
+    if marker is Side.LEFT:
+        return (2**x - 1) * q + 2 ** (x - 1) - 1
+    return (2**x - 1) * (q + 1)
+
 
 # Stabilized per-parity rows for total budget 8.
 TB8_EVEN_LIMIT = (-4, -2, -2, 0, 0, 2, 2, 4, 4)

@@ -15,16 +15,15 @@ from bcs.analysis import (
     bid_graph_to_dot,
     bid_graph_to_json_dict,
     check_oracle_equivalence,
-    forced_win_threshold,
-    left_can_force_final_wins,
     run_invariant_suite_on,
-    verify_forced_wins,
 )
 from bcs.automaton import convergence_bound
 from bcs.cli import main
 from bcs.core import OutcomeTable, Side, make_position
 from bcs.oracle import oracle_table as real_oracle_table
 from bcs.solver import solve, value
+
+from goldens import forced_win_threshold
 
 
 def test_ten_invariants_exist():
@@ -74,52 +73,70 @@ def test_forced_win_threshold_closed_forms():
         assert forced_win_threshold(3, q, Side.LEFT) == 7 * q + 3
         assert forced_win_threshold(2, q, Side.RIGHT) == 3 * q + 3
         assert forced_win_threshold(3, q, Side.RIGHT) == 7 * q + 7
-    with pytest.raises(ValueError):
-        forced_win_threshold(0, 1, Side.LEFT)
-    with pytest.raises(ValueError, match="opponent budget must be >= 0, got -1"):
-        forced_win_threshold(1, -1, Side.LEFT)
+
+
+def _left_forces(x: int, p: int, q: int, marker: Side) -> bool:
+    """Left wins all of the next ``x`` auctions: the oracle scores heap ``x`` at ``x``."""
+    return real_oracle_table(p + q, x)[x][marker is Side.LEFT][p] == x
 
 
 def test_forced_win_search_basics():
     # single auction with the marker: matching the opponent suffices
-    assert left_can_force_final_wins(1, 2, 2, Side.LEFT)
-    assert not left_can_force_final_wins(1, 1, 2, Side.LEFT)
+    assert _left_forces(1, 2, 2, Side.LEFT)
+    assert not _left_forces(1, 1, 2, Side.LEFT)
     # without the marker one extra dollar is needed
-    assert left_can_force_final_wins(1, 3, 2, Side.RIGHT)
-    assert not left_can_force_final_wins(1, 2, 2, Side.RIGHT)
+    assert _left_forces(1, 3, 2, Side.RIGHT)
+    assert not _left_forces(1, 2, 2, Side.RIGHT)
 
 
 def test_forced_win_five_moves_broke_opponent():
-    assert left_can_force_final_wins(5, 15, 0, Side.LEFT)
-    assert not left_can_force_final_wins(5, 14, 0, Side.LEFT)
+    assert _left_forces(5, 15, 0, Side.LEFT)
+    assert not _left_forces(5, 14, 0, Side.LEFT)
 
 
 def test_verify_forced_wins_small():
-    assert verify_forced_wins(4, 1).passed
-    assert verify_forced_wins(7, 2).passed
-    assert verify_forced_wins(10, 3).passed
+    for tb, x in ((4, 1), (7, 2), (10, 3)):
+        for marker in (Side.LEFT, Side.RIGHT):
+            for p in range(tb + 1):
+                expected = p >= forced_win_threshold(x, tb - p, marker)
+                assert _left_forces(x, p, tb - p, marker) == expected, (tb, x, p, marker)
+
+
+def test_forced_wins_three_readings():
+    """Each player wins all of the next ``x`` auctions exactly when the closed
+    form says so, the oracle scores heap ``x`` at ``x`` for Left or ``-x`` for
+    Right, and the solver, read through the zero-sum flip, agrees."""
+    for tb in range(41):
+        layers, table = real_oracle_table(tb, 5), solve(tb, 5)
+        for x in range(1, 6):
+            for marker in (Side.LEFT, Side.RIGHT):
+                for p in range(tb + 1):
+                    q = tb - p
+                    expected = (
+                        p >= forced_win_threshold(x, q, marker),
+                        q >= forced_win_threshold(x, p, marker.opponent),
+                    )
+                    slow = layers[x][marker is Side.LEFT][p]
+                    fast = value(table, make_position(tb, x, p, marker))
+                    cell = (tb, x, p, marker)
+                    assert (slow == x, slow == -x) == expected, cell
+                    assert (fast == x, fast == -x) == expected, cell
 
 
 @pytest.mark.parametrize(
-    "shift, tb, p, values, marker",
+    "p, marker, score",
     [
-        # off by one for both markers, each failing at p = 2: L is reported
-        ({Side.LEFT: 1, Side.RIGHT: -1}, 4, 2, (0, 1), Side.LEFT),
-        ({Side.LEFT: 0, Side.RIGHT: 1}, 5, 3, (0, 1), Side.RIGHT),
-        # every split expected to pass; the search fails at p = 0 and 1: p = 0 is reported
-        ({Side.LEFT: -9, Side.RIGHT: -9}, 4, 0, (1, 0), Side.LEFT),
+        pytest.param(1, Side.LEFT, 0, id="a-dollar-and-the-marker-draw"),
+        pytest.param(0, Side.LEFT, -2, id="the-marker-alone-loses-both"),
+        pytest.param(1, Side.RIGHT, -2, id="a-dollar-alone-loses-both"),
     ],
 )
-def test_verify_forced_wins_reports_the_first_disagreement(
-    monkeypatch, shift, tb, p, values, marker
-):
-    real = analysis.forced_win_threshold
-    monkeypatch.setattr(
-        analysis, "forced_win_threshold", lambda x, q, m: real(x, q, m) + shift[m]
-    )
-    report = verify_forced_wins(tb, 1)
-    assert not report.passed
-    assert report.counterexample == (1, p, values, f"marker={marker}")
+def test_opening_example(p, marker, score):
+    """The paper's opening question at total budget 5: can the opponent
+    take both pebbles of heap 2?"""
+    assert real_oracle_table(5, 2)[2][marker is Side.LEFT][p] == score
+    assert value(solve(5, 2), make_position(5, 2, p, marker)) == score
+    assert (5 - p >= forced_win_threshold(2, p, marker.opponent)) == (score == -2)
 
 
 def test_tie_graph_bid0_is_involution():

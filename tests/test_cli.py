@@ -606,6 +606,9 @@ def test_check_from_json_rejects_malformed_table(tmp_path, capsys, text):
         "conjecture --tb 10000000000000000000",
         "check --tb 2305843009213693952",
         "play --tb 10000000000000000000 --x 2 --p 1 --marker L --engine-side R",
+        "automaton --tb 10000000000000000000",
+        "automaton --tb 2305843009213693952 --format json",
+        "bids --tb 10000000000000000000 --kind tie --bid 0",
     ],
 )
 def test_out_of_range_arguments_exit_usage(tmp_path, capsys, command):
