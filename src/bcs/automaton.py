@@ -8,24 +8,16 @@ with one node per budget split models perpetual zero-bid ties: winning a
 zero tie hands the opponent the marker and flips the heap parity, giving
 the update ``A(j, p) = 1 - A(j', q)`` with ``j'`` the opposite parity.
 
-The branch test in ``beta`` reads "delta congruent to 1 mod 4".  For
-negative ``delta`` two readings exist and they disagree:
-
-* ``euclidean`` uses the non-negative residue.  It satisfies the duality
-  ``beta(d) = 1 - beta(-d)`` but produces values of mixed parity, so it
-  cannot describe any single-parity limit row.
-* ``truncated`` classifies by ``abs(delta) % 4``.  It breaks the duality
-  but reproduces the solver's limit rows (the odd-heap row directly, the
-  even-heap row through the automaton update).
-
-Both modes are exposed; the conjecture harness reports what each one
-matches, and ``automaton_fixed_point`` defaults to the mode that the solved
-tables confirm.
+The branch test in ``beta`` reads "delta congruent to 1 mod 4" on
+``abs(delta)``, the truncated residue (hence the name ``beta_truncated``).
+The non-negative residue would satisfy the duality ``beta(d) = 1 - beta(-d)``,
+but it scores 0 and 1 at ``delta = -1`` and ``+1``, so no single-parity
+limit row can equal it.
 """
 
 from __future__ import annotations
 
-from typing import Literal, NamedTuple
+from typing import NamedTuple
 
 from .core import GameError, zero_row
 
@@ -33,9 +25,6 @@ from .core import GameError, zero_row
 class ParityError(GameError):
     """Raised when an argument has the wrong parity for a closed form."""
 
-
-BetaMode = Literal["euclidean", "truncated"]
-BETA_MODES: tuple[BetaMode, ...] = ("euclidean", "truncated")
 
 # An ``(even, odd)`` pair: one value per budget split ``p`` on each heap parity.
 Rows = tuple[tuple[int, ...], tuple[int, ...]]
@@ -70,22 +59,15 @@ def alpha_odd(delta: int) -> int:
     return (delta + 1) // 2
 
 
-def beta(delta: int, mode: BetaMode = "euclidean") -> int:
+def beta(delta: int) -> int:
     """Stabilized value at odd budget difference ``delta`` (odd tb).
 
-    ``floor(delta/2) + iota(delta)`` on the "congruent to 1 mod 4" branch,
-    ``ceil(delta/2) + iota(delta)`` otherwise.  ``mode`` picks how negative
-    arguments are classified; see the module docstring.
+    ``floor(delta/2) + iota(delta)`` when ``abs(delta) % 4 == 1``, else
+    ``ceil(delta/2) + iota(delta)``; see the module docstring.
     """
     if delta % 2 == 0:
         raise ParityError(f"beta needs an odd budget difference, got {delta}")
-    if mode == "euclidean":
-        first_branch = delta % 4 == 1
-    elif mode == "truncated":
-        first_branch = abs(delta) % 4 == 1
-    else:
-        raise ValueError(f"unknown beta mode {mode!r}")
-    if first_branch:
+    if abs(delta) % 4 == 1:
         return delta // 2 + iota(delta)
     return (delta + 1) // 2 + iota(delta)
 
@@ -111,7 +93,7 @@ def update_rule_holds(rows: Rows) -> bool:
     return all(e == 1 - o for e, o in zip(even, reversed(odd), strict=True))
 
 
-def automaton_fixed_point(tb: int, beta_mode: BetaMode = "truncated") -> Rows:
+def automaton_fixed_point(tb: int) -> Rows:
     """The automaton's ``(even, odd)`` states from a closed form plus the update rule.
 
     ``even[p]`` / ``odd[p]`` are the values attached to budget split ``p``
@@ -127,32 +109,28 @@ def automaton_fixed_point(tb: int, beta_mode: BetaMode = "truncated") -> Rows:
         even = tuple(alpha_even(2 * p - tb) for p in range(tb + 1))
         odd = tuple(1 - even[tb - p] for p in range(tb + 1))
     else:
-        odd = tuple(beta(2 * p - tb, beta_mode) for p in range(tb + 1))
+        odd = tuple(beta(2 * p - tb) for p in range(tb + 1))
         even = tuple(1 - odd[tb - p] for p in range(tb + 1))
     return even, odd
 
 
 def closed_form_tables(tb: int) -> dict[str, Rows]:
-    """The automaton's ``(even, odd)`` states the closed forms give, by mode name.
+    """The automaton's ``(even, odd)`` states from the closed form, by name.
 
-    ``alpha`` for even total budgets; ``beta_euclidean`` and
-    ``beta_truncated`` for odd ones.
+    ``alpha`` for even total budgets, ``beta_truncated`` for odd ones.
     """
-    if tb % 2 == 0:
-        return {"alpha": automaton_fixed_point(tb)}
-    return {f"beta_{mode}": automaton_fixed_point(tb, mode) for mode in BETA_MODES}
+    return {"alpha" if tb % 2 == 0 else "beta_truncated": automaton_fixed_point(tb)}
 
 
 class ConvergenceReport(NamedTuple):
     """Outcome of comparing solved limit rows with the automaton.
 
-    ``matches`` maps a closed-form mode ("alpha" for even budgets,
-    "beta_euclidean" / "beta_truncated" for odd ones) to "exact", "swapped"
-    (rows match with parities interchanged), or "none"; ``diffs`` holds the
-    per-cell disagreements ``(parity, p, limit, automaton)`` for modes that
-    do not match exactly.  ``update_rule_holds`` reports whether the limit
-    rows themselves satisfy the automaton update, independent of any closed
-    form.
+    ``matches`` maps the closed form's name ("alpha" for even budgets,
+    "beta_truncated" for odd ones) to "exact", "swapped" (rows match with
+    parities interchanged), or "none"; ``diffs`` holds the per-cell
+    disagreements ``(parity, p, limit, automaton)`` when it does not match
+    exactly.  ``update_rule_holds`` reports whether the limit rows themselves
+    satisfy the automaton update, independent of any closed form.
     """
 
     update_rule_holds: bool

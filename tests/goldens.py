@@ -4,6 +4,7 @@ Rows are indexed by Left's budget ascending (p = 0..tb); published tables
 list budgets the other way around, so mirror before comparing with them.
 """
 
+from bcs.automaton import iota
 from bcs.core import Side
 
 # Total budget 5, heap sizes 0..2.  Contains the worked one-dollar-tie cell
@@ -25,6 +26,11 @@ def forced_win_threshold(x: int, q: int, marker: Side) -> int:
     if marker is Side.LEFT:
         return (2**x - 1) * q + 2 ** (x - 1) - 1
     return (2**x - 1) * (q + 1)
+
+
+def beta_euclidean(delta: int) -> int:
+    """``beta`` read on the non-negative residue ``delta % 4``: never a limit row."""
+    return delta // 2 + iota(delta) if delta % 4 == 1 else (delta + 1) // 2 + iota(delta)
 
 
 # Stabilized per-parity rows for total budget 8.

@@ -14,7 +14,13 @@ from bcs.automaton import (
 )
 from bcs.solver import _next_row, limit_rows, solve
 
-from goldens import TB8_EVEN_LIMIT, TB8_ODD_LIMIT, TB9_EVEN_LIMIT, TB9_ODD_LIMIT
+from goldens import (
+    TB8_EVEN_LIMIT,
+    TB8_ODD_LIMIT,
+    TB9_EVEN_LIMIT,
+    TB9_ODD_LIMIT,
+    beta_euclidean,
+)
 
 
 def test_alpha_even_examples():
@@ -37,13 +43,13 @@ def test_alpha_rows_match_tb8_limits():
 def test_beta_examples():
     assert beta(1) == 1
     assert beta(9) == 5
-    assert beta(-1) == 0  # non-negative residue picks the ceiling branch
-    assert beta(-1, "truncated") == -1
+    assert beta(-1) == -1
+    assert beta_euclidean(-1) == 0  # non-negative residue picks the ceiling branch
     assert iota(3) == 1 and iota(0) == 0 and iota(-2) == 0
 
 
 def test_beta_truncated_matches_tb9_odd_limit():
-    assert tuple(beta(2 * p - 9, "truncated") for p in range(10)) == TB9_ODD_LIMIT
+    assert tuple(beta(2 * p - 9) for p in range(10)) == TB9_ODD_LIMIT
 
 
 def test_parity_guards():
@@ -53,8 +59,6 @@ def test_parity_guards():
         alpha_odd(-5)
     with pytest.raises(ParityError):
         beta(2)
-    with pytest.raises(ValueError):
-        beta(1, "nearest")  # type: ignore[arg-type]
 
 
 def test_alpha_duality_range():
@@ -69,13 +73,14 @@ def test_alpha_duality_property(delta):
 
 @given(st.integers(min_value=-10**6, max_value=10**6).map(lambda n: 2 * n + 1))
 def test_beta_duality_by_mode(delta):
-    # the non-negative residue convention satisfies the duality ...
-    assert beta(delta, "euclidean") == 1 - beta(-delta, "euclidean")
+    # the non-negative residue reading satisfies the duality ...
+    assert beta_euclidean(delta) == 1 - beta_euclidean(-delta)
 
 
 def test_beta_truncated_breaks_duality():
-    # ... and the limit-matching convention provably does not
-    assert beta(9, "truncated") != 1 - beta(-9, "truncated")
+    # ... and the limit-matching reading provably does not
+    assert beta(9) != 1 - beta(-9)
+
 
 
 def test_fixed_point_tb8_equals_limits():
@@ -85,16 +90,13 @@ def test_fixed_point_tb8_equals_limits():
 
 
 def test_fixed_point_tb9_truncated_equals_limits():
-    rows = automaton_fixed_point(9, beta_mode="truncated")
+    rows = automaton_fixed_point(9)
     assert rows == (TB9_EVEN_LIMIT, TB9_ODD_LIMIT)
     assert update_rule_holds(rows)
-    # the duality-respecting mode cannot produce single-parity rows
-    _, euclid_odd = automaton_fixed_point(9, beta_mode="euclidean")
-    assert euclid_odd != TB9_ODD_LIMIT
 
 
 def test_fixed_point_tb9_update_entries():
-    even, odd = automaton_fixed_point(9, beta_mode="truncated")
+    even, odd = automaton_fixed_point(9)
     assert odd[9] == 5
     assert even[9] == 1 - odd[0] == 6
 
@@ -143,9 +145,8 @@ def test_conjecture_report_tb8():
 def test_conjecture_report_tb9():
     report = conjecture_report(_limit_pair(9))
     assert report.update_rule_holds
-    assert report.matches["beta_truncated"] == "exact"
-    assert report.matches["beta_euclidean"] == "none"
-    assert report.diffs["beta_euclidean"]  # disagreements are itemized
+    assert report.matches == {"beta_truncated": "exact"}
+    assert report.diffs == {}
 
 
 def test_conjecture_report_tb1():
@@ -201,12 +202,17 @@ def test_limit_rows_match_the_full_table(tb):
 
 @pytest.mark.parametrize("tb", SWEEP)
 def test_closed_forms_match_limits_sweep(tb):
-    matches = conjecture_report(_limit_pair(tb)).matches
-    if tb % 2 == 0:
-        assert matches == {"alpha": "exact"}
-    else:
-        assert matches["beta_truncated"] == "exact"
-        assert matches["beta_euclidean"] != "exact"
+    report = conjecture_report(_limit_pair(tb))
+    assert report.matches == {"alpha" if tb % 2 == 0 else "beta_truncated": "exact"}
+    assert report.diffs == {}
+
+
+@pytest.mark.parametrize("tb", range(1, 42, 2))
+def test_beta_euclidean_row_is_no_limit_row(tb):
+    # it scores 0 and 1 at delta = -1 and +1, so its row mixes parities
+    row = tuple(beta_euclidean(2 * p - tb) for p in range(tb + 1))
+    assert {0, 1} <= set(row)
+    assert row not in _limit_pair(tb)
 
 
 def test_x_star_pairs_each_odd_budget_with_the_next_even_one():

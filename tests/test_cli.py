@@ -124,16 +124,10 @@ def _cycle_verdicts(capsys, tb):
 
 
 def test_automaton_verdict_is_one_step_of_the_recursion(capsys):
-    # alpha and beta_truncated are 2-cycles at every tb; beta_euclidean only
-    # at tb 1 and 3, where its two states coincide
+    # the closed form is a 2-cycle at every tb
     for tb in range(257):
-        verdicts = _cycle_verdicts(capsys, tb)
-        if tb % 2 == 0:
-            assert verdicts == {"alpha": "holds"}, tb
-        else:
-            euclidean = "holds" if tb in (1, 3) else "FAILS"
-            assert verdicts == {"beta_euclidean": euclidean, "beta_truncated": "holds"}, tb
-    assert _cycle_verdicts(capsys, 5)["beta_euclidean"] == "FAILS"
+        name = "alpha" if tb % 2 == 0 else "beta_truncated"
+        assert _cycle_verdicts(capsys, tb) == {name: "holds"}, tb
 
 
 def test_automaton_verdict_fails_on_a_closed_form_with_one_cell_flipped(capsys, monkeypatch):
@@ -206,7 +200,6 @@ def test_conjecture_text(capsys):
     assert code == 0
     assert "update rule on solver limits: holds" in out
     assert "beta_truncated: exact" in out
-    assert "beta_euclidean: none" in out
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -228,10 +221,18 @@ def test_conjecture_exits_1_when_the_limits_break_the_update_rule(capsys, monkey
     )
     code, out, _ = run_cli(capsys, "conjecture", "--tb", "0")
     assert code == 1
-    assert "update rule on solver limits: FAILS" in out
+    assert out == (
+        "tb = 0  B(tb) = 1  x_star = 0\n"
+        "update rule on solver limits: FAILS\n"
+        "alpha: none\n"
+        "  odd p=0: limit 0 vs automaton 1\n"
+    )
     code, out, _ = run_cli(capsys, "conjecture", "--tb", "0", "--format", "json")
     assert code == 1
-    assert json.loads(out)["update_rule_holds"] is False
+    payload = json.loads(out)
+    assert payload["update_rule_holds"] is False
+    assert payload["matches"] == {"alpha": "none"}
+    assert payload["diffs"] == {"alpha": [["odd", 0, 0, 1]]}
 
 
 def test_bids_dot_golden(capsys):
@@ -343,15 +344,18 @@ def test_module_entry_point():
 # the file written by ``solve --tb 6 --x-max 20 --format json --out``,
 # RULESET the zugzwang ruleset.  The three text ``automaton`` digests were
 # re-taken when each seed's verdict became one step of the recursion (the
-# 2-cycle check) in place of the update rule its pair is built by.
+# 2-cycle check) in place of the update rule its pair is built by.  The six
+# odd-tb ``automaton`` and ``conjecture`` digests were re-taken when the
+# non-negative-residue ``beta_euclidean`` seed was dropped: each output is
+# the old one with its ``beta_euclidean`` entries removed.
 GOLDEN_CORPUS = [
     ("solve --tb 5 --x-max 2", 0, "65c9d616c467494757d85a3406b2f9caf5cb2d75bd049ddafd732888bbde7321"),
     ("solve --tb 9 --x-max 9 --format json", 0, "572b8ef0163b95e0eb3ec40b19865078a75f7c948c6358ad765205350256619e"),
     ("limits --tb 8", 0, "27ff5e959ca7093d6036365eec61bb3666aeb0624fdae2b2bbffad9358706f53"),
     ("check --tb 5 --x-max 30", 0, "8182e2edceca0d165ea740b38644c1b339a8a2bee8c4564b90803ee583032575"),
     ("check --tb 8 --x-max 40 --with-oracle", 0, "3a19e7f1684c338b7be8b11e0dfd91fc31d7f32565e8a2d0d78083f940520197"),
-    ("automaton --tb 9", 0, "d55e3a1d150e6cfa0e8f027587cf1aad735331bc409e94a64010aba70eb88d38"),
-    ("conjecture --tb 9", 0, "8d428ee2417cdc3224fe0f0bffd09875a1ef35f5e809bef4fa342327245580ed"),
+    ("automaton --tb 9", 0, "3c13bd08ea190bfef9f8ee0346108c1f8db34a64b31a635c6951679ab69883d4"),
+    ("conjecture --tb 9", 0, "56edbc02055a8915e60bab683122c0e70a448dc5bd25ebebc10ec8e54bc0d9a4"),
     ("bids --tb 5 --kind tie --bid 0 --format dot", 0, "d5ca4cac7bce33b5002e9638ba7df01c7a64f720270a267587ffa20ebdc72be2"),
     ("solve --tb 5 --x-max 2 --format csv", 0, "15fb44bc387124d948343d96527044da0b037b7c897c9b99c1ec772d4be837c5"),
     ("solve --tb 5 --x-max 2 --format json", 0, "2b24cba5adeb5cf78eb032677ea14077e396b75f3a3c2d1590c103d4cc721901"),
@@ -359,9 +363,9 @@ GOLDEN_CORPUS = [
     ("limits --tb 8 --format json", 0, "30574b963326fcaa8b7eca1923431c45af0a8b2372cdf9497b8e33138a14e86f"),
     ("automaton --tb 8", 0, "c1c81c71d4ddad7231fd25014988aa67fd5ac2e3bb5d7ffa70d55488cf806bd4"),
     ("automaton --tb 8 --format json", 0, "a0a8b5227e779ac8523360cc3aa0f0a4ca5c07ebe44ba55ccdf4385777358f4d"),
-    ("automaton --tb 9 --format json", 0, "3338b72a908e5f99e4c8b02888f2b945277fb6efe104f8a485664fc4f2af78c0"),
+    ("automaton --tb 9 --format json", 0, "0365c3a59cdaf5a2af53166e484998875fbc6b1f5a3727b6a20a04636191b1dc"),
     ("conjecture --tb 8", 0, "4a5427e731d241b1046fcf2748d4fe011566e7b1f3bc98a09f7ed24278b00fbe"),
-    ("conjecture --tb 9 --format json", 0, "ce199695442d9b7240d6b60d4da6e0ef0ad28c7a29d937f64e82c0699d1aff57"),
+    ("conjecture --tb 9 --format json", 0, "c31053173af5b6a5f1ea6c8b0018b8fcb77671cdf80f2671a5ed2c6cda386037"),
     ("bids --tb 5 --kind tie --bid 0 --format json", 0, "d717648a43e695e5fbb9f2151597b62a80774d5dc6f46e9f5797623471ac820e"),
     ("bids --tb 5 --kind holder-win --bid 3 --reduced", 0, "5056407bf912c7d44ea56243ac3c64df875bdf90433cf4fc481894142895b245"),
     ("check --tb 8 --x-max 40 --with-oracle --format json", 0, "ac230dc3d9acba1f6e58bdc077f193b858a75d6e12a8ab2960883b2a974ef682"),
@@ -375,9 +379,9 @@ GOLDEN_CORPUS = [
     ("solve --tb 24 --x-max 147", 0, "5feb7dcf522ee5557709f5b8458060add0d602a48ba4453341525c24190a87a6"),
     # The (even, odd) pair at its edges: tb 0 and 1, and an odd tb in JSON.
     ("conjecture --tb 0", 0, "f7e526bc40f064a5ed368cbac11cbebe050ead767c25cf4c1f2f731daa01a066"),
-    ("conjecture --tb 1 --format json", 0, "abaa9cd685fa099363e27c5838f3f5ed32becb6665e01b38c503229fb65d90b4"),
+    ("conjecture --tb 1 --format json", 0, "147c1c9974cc18d1b1adc94973a13be5d1036e49880f3ea0a5dc609f5410d8df"),
     ("automaton --tb 0 --format json", 0, "d4a81dd6bf5d559d809a40bc799e822b8505484b3608b99dbb3ce74223a76b46"),
-    ("automaton --tb 1", 0, "e6a5a8b0f0ba48a59d4753a0f06e73f97b528d80a73061455f0c033e9c25304c"),
+    ("automaton --tb 1", 0, "c562b9d5f3d60ce0feb11dbd3db99b564e4dc6a28dfcb575419019ddf1aacdd5"),
     ("limits --tb 9 --format json", 0, "072ed44129efcfd9a1095e6cd5c872789de7724483a33d0d506efe07f316b2d5"),
 ]
 SOLVE_OUT_TB6_X20_SHA256 = "98926765195e0c414efbee796b4934980f0041488b1d1bb32343818c54619c57"
