@@ -58,9 +58,9 @@ def _scan(table: OutcomeTable, check: RowCheck) -> Counterexample | None:
     ``check`` sees heap ``x``, its row and the rows of heaps ``x - 1`` and
     ``x - 2`` (None below 0), and returns ``(p, values[, note])`` at its
     first failing budget, or None.  It reads nothing else but the parity of
-    ``x``, and past its stored rows a table repeats the last two in turn, so
-    from heap ``len(rows) + 2`` on every heap shows it what the heap two
-    before showed: the scan stops at ``len(rows) + 1``.
+    ``x``, and past its stored rows any table, solved or loaded, repeats the
+    last two in turn, so from heap ``len(rows) + 2`` on every heap shows it
+    what the heap two before showed: the scan stops at ``len(rows) + 1``.
     """
     prev = older = None
     for x in range(min(table.x_max, len(table.rows) + 1) + 1):

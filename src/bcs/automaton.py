@@ -114,28 +114,26 @@ def automaton_fixed_point(tb: int) -> Rows:
     return even, odd
 
 
-def closed_form_tables(tb: int) -> dict[str, Rows]:
-    """The automaton's ``(even, odd)`` states from the closed form, by name.
-
-    ``alpha`` for even total budgets, ``beta_truncated`` for odd ones.
-    """
-    return {"alpha" if tb % 2 == 0 else "beta_truncated": automaton_fixed_point(tb)}
+def closed_form_name(tb: int) -> str:
+    """The name of the closed form of ``tb``: ``alpha`` for an even total
+    budget, ``beta_truncated`` for an odd one."""
+    return "alpha" if tb % 2 == 0 else "beta_truncated"
 
 
 class ConvergenceReport(NamedTuple):
     """Outcome of comparing solved limit rows with the automaton.
 
-    ``matches`` maps the closed form's name ("alpha" for even budgets,
-    "beta_truncated" for odd ones) to "exact", "swapped" (rows match with
-    parities interchanged), or "none"; ``diffs`` holds the per-cell
-    disagreements ``(parity, p, limit, automaton)`` when it does not match
-    exactly.  ``update_rule_holds`` reports whether the limit rows themselves
-    satisfy the automaton update, independent of any closed form.
+    ``match`` is "exact", "swapped" (rows match with parities interchanged),
+    or "none" for the closed form of the rows' total budget; ``diffs`` holds
+    the per-cell disagreements ``(parity, p, limit, automaton)``, which are
+    empty unless ``match`` is "none".  ``update_rule_holds`` reports whether
+    the limit rows themselves satisfy the automaton update, independent of
+    any closed form.
     """
 
     update_rule_holds: bool
-    matches: dict[str, str]
-    diffs: dict[str, tuple[tuple[str, int, int, int], ...]]
+    match: str
+    diffs: tuple[tuple[str, int, int, int], ...]
 
 
 def _compare(rows: Rows, state: Rows) -> tuple[str, tuple[tuple[str, int, int, int], ...]]:
@@ -159,10 +157,5 @@ def conjecture_report(rows: Rows) -> ConvergenceReport:
     full, never raised.  The update-rule closure of the limit rows is
     checked separately from any closed-form seed.
     """
-    matches: dict[str, str] = {}
-    diffs: dict[str, tuple[tuple[str, int, int, int], ...]] = {}
-    for name, state in closed_form_tables(len(rows[0]) - 1).items():
-        matches[name], cells = _compare(rows, state)
-        if matches[name] != "exact":
-            diffs[name] = cells
-    return ConvergenceReport(update_rule_holds(rows), matches, diffs)
+    match, diffs = _compare(rows, automaton_fixed_point(len(rows[0]) - 1))
+    return ConvergenceReport(update_rule_holds(rows), match, diffs)

@@ -263,46 +263,40 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_automaton(args: argparse.Namespace) -> int:
     tb = args.tb
     bound = automaton.convergence_bound(tb)
-    tables = automaton.closed_form_tables(tb)
+    name = automaton.closed_form_name(tb)
+    even, odd = automaton.automaton_fixed_point(tb)
     if args.format == "json":
-        payload = {
-            "tb": tb,
-            "bound": bound,
-            "tables": {
-                name: {"even": even, "odd": odd}
-                for name, (even, odd) in tables.items()
-            },
-        }
+        payload = {"tb": tb, "bound": bound, "tables": {name: {"even": even, "odd": odd}}}
         _emit(_json(payload), args.out)
     else:
-        chunks = [f"tb = {tb}  B(tb) = {bound}\n"]
-        for name, (even, odd) in tables.items():  # a 2-cycle is not yet proof of the limit
-            step = solver._next_row(tb, even), solver._next_row(tb, odd)
-            verdict = "holds" if step == (odd, even) else "FAILS"
-            chunks.append(f"seed {name} (2-cycle of the recursion: {verdict})\n")
-            chunks += _budget_columns(tb, "p^", ("x even", "x odd"), (even, odd), (even, odd))
-        _emit(chunks, args.out)
+        # a 2-cycle is not yet proof of the limit
+        step = solver._next_row(tb, even), solver._next_row(tb, odd)
+        verdict = "holds" if step == (odd, even) else "FAILS"
+        seed = f"seed {name} (2-cycle of the recursion: {verdict})\n"
+        columns = _budget_columns(tb, "p^", ("x even", "x odd"), (even, odd), (even, odd))
+        _emit([f"tb = {tb}  B(tb) = {bound}\n", seed, *columns], args.out)
     return EXIT_OK
 
 
 def cmd_conjecture(args: argparse.Namespace) -> int:
     fields, header = _limit_fields(args.tb)
     report = automaton.conjecture_report((fields["even"], fields["odd"]))
+    name = automaton.closed_form_name(args.tb)
     if args.format == "json":
         payload = {
             **fields,
             "update_rule_holds": report.update_rule_holds,
-            "matches": report.matches,
-            "diffs": report.diffs,
+            "matches": {name: report.match},
+            "diffs": {} if report.match == "exact" else {name: report.diffs},
         }
         _emit(_json(payload), args.out)
     else:
         closure = "holds" if report.update_rule_holds else "FAILS"
-        lines = [f"update rule on solver limits: {closure}"]
-        for name, verdict in report.matches.items():
-            lines.append(f"{name}: {verdict}")
-            for parity, p, limit, entry in report.diffs.get(name, ()):
-                lines.append(f"  {parity} p={p}: limit {limit} vs automaton {entry}")
+        lines = [f"update rule on solver limits: {closure}", f"{name}: {report.match}"]
+        lines += (
+            f"  {parity} p={p}: limit {limit} vs automaton {entry}"
+            for parity, p, limit, entry in report.diffs
+        )
         _emit([header, "\n".join(lines) + "\n"], args.out)
     return EXIT_OK if report.update_rule_holds else EXIT_CHECK_FAILED
 

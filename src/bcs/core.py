@@ -197,10 +197,11 @@ class OutcomeTable(_TableFields):
     the marker.  Values for a marker-holding Right follow from the zero-sum
     flip ``-row(x)[tb - p]`` and are derived, never stored.
 
-    ``x_max`` defaults to the last stored heap, and ``rows`` may stop short
+    ``x_max`` defaults to the last heap given, and ``rows`` may stop short
     of it: past the stored rows the last two repeat in turn, as the rows of
-    a 2-cycle do.  So a solved table and the full table read back from its
-    JSON hold the same rows but compare unequal as records.
+    a 2-cycle do.  Trailing rows that equal the row two before are dropped,
+    keeping at least two, so a table stores its rows only up to its 2-cycle
+    however it was built: a solved table and its JSON round trip are equal.
     """
 
     __slots__ = ()
@@ -216,7 +217,10 @@ class OutcomeTable(_TableFields):
             raise ValueError(f"{len(rows)} rows for heaps 0..{x_max}")
         if len(rows) < min(2, x_max + 1):
             raise ValueError(f"{len(rows)} rows cannot repeat as a 2-cycle up to heap {x_max}")
-        return super().__new__(cls, tb, rows, x_max)
+        stored = len(rows)
+        while stored > 2 and rows[stored - 1] == rows[stored - 3]:
+            stored -= 1
+        return super().__new__(cls, tb, rows[:stored], x_max)
 
     def row(self, x: int) -> tuple[int, ...]:
         if not 0 <= x <= self.x_max:

@@ -7,6 +7,7 @@ from bcs.automaton import (
     alpha_odd,
     automaton_fixed_point,
     beta,
+    closed_form_name,
     conjecture_report,
     convergence_bound,
     iota,
@@ -137,7 +138,8 @@ def _limit_pair(tb):
 
 def test_conjecture_report_tb8():
     report = conjecture_report(_limit_pair(8))
-    assert report.matches == {"alpha": "exact"}
+    assert closed_form_name(8) == "alpha"
+    assert report.match == "exact" and report.diffs == ()
     assert report.update_rule_holds
     assert limit_rows(8).x_star <= convergence_bound(8) + 2
 
@@ -145,8 +147,9 @@ def test_conjecture_report_tb8():
 def test_conjecture_report_tb9():
     report = conjecture_report(_limit_pair(9))
     assert report.update_rule_holds
-    assert report.matches == {"beta_truncated": "exact"}
-    assert report.diffs == {}
+    assert closed_form_name(9) == "beta_truncated"
+    assert report.match == "exact"
+    assert report.diffs == ()
 
 
 def test_conjecture_report_tb1():
@@ -159,14 +162,14 @@ def test_update_rule_fails_on_a_pair_that_breaks_it():
     assert not update_rule_holds(((0, 2), (-1, 2)))
     report = conjecture_report(((0,), (0,)))
     assert not report.update_rule_holds
-    assert report.matches == {"alpha": "none"}
-    assert report.diffs == {"alpha": (("odd", 0, 0, 1),)}
+    assert report.match == "none"
+    assert report.diffs == (("odd", 0, 0, 1),)
 
 
 def test_conjecture_report_swapped_pair():
     even, odd = automaton_fixed_point(8)
-    assert conjecture_report((odd, even)).matches == {"alpha": "swapped"}
-    assert conjecture_report((odd, even)).diffs == {"alpha": ()}
+    assert conjecture_report((odd, even)).match == "swapped"
+    assert conjecture_report((odd, even)).diffs == ()
 
 
 def test_update_rule_closure_small_sweep():
@@ -203,8 +206,9 @@ def test_limit_rows_match_the_full_table(tb):
 @pytest.mark.parametrize("tb", SWEEP)
 def test_closed_forms_match_limits_sweep(tb):
     report = conjecture_report(_limit_pair(tb))
-    assert report.matches == {"alpha" if tb % 2 == 0 else "beta_truncated": "exact"}
-    assert report.diffs == {}
+    assert closed_form_name(tb) == ("alpha" if tb % 2 == 0 else "beta_truncated")
+    assert report.match == "exact"
+    assert report.diffs == ()
 
 
 @pytest.mark.parametrize("tb", range(1, 42, 2))

@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 
 from bcs import solver
 from bcs.analysis import BidGraphKind
-from bcs.automaton import closed_form_tables
+from bcs.automaton import automaton_fixed_point, convergence_bound
 from bcs.cli import build_parser, load_outcome_table_json, main
 from bcs.core import OutcomeTable
 
@@ -131,10 +131,10 @@ def test_automaton_verdict_is_one_step_of_the_recursion(capsys):
 
 
 def test_automaton_verdict_fails_on_a_closed_form_with_one_cell_flipped(capsys, monkeypatch):
-    (even, odd), = closed_form_tables(8).values()
+    even, odd = automaton_fixed_point(8)
     assert even == TB8_EVEN_LIMIT and even[2] == -2
     flipped = (even[:2] + (0,) + even[3:], odd)  # still nondecreasing
-    monkeypatch.setattr("bcs.automaton.closed_form_tables", lambda tb: {"alpha": flipped})
+    monkeypatch.setattr("bcs.automaton.automaton_fixed_point", lambda tb: flipped)
     assert _cycle_verdicts(capsys, 8) == {"alpha": "FAILS"}
 
 
@@ -193,6 +193,17 @@ def test_check_round_trip_from_json(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(direct) == json.loads(reloaded)
+
+
+@pytest.mark.parametrize("tb", range(41))
+def test_a_solved_table_read_back_from_json_is_the_same_record(capsys, tb):
+    bound, x_star = convergence_bound(tb), solver.limit_rows(tb).x_star
+    for x_max in (bound + 2, bound + 30, max(x_star - 1, 0)):
+        code, out, _ = run_cli(
+            capsys, "solve", "--tb", str(tb), "--x-max", str(x_max), "--format", "json"
+        )
+        assert code == 0
+        assert load_outcome_table_json(json.loads(out)) == solver.solve(tb, x_max)
 
 
 def test_conjecture_text(capsys):
@@ -435,7 +446,7 @@ def outcome_tables(draw):
 def _whole_documents(table):
     """Each ``solve`` format of ``table`` rendered as one string, the way the
     formats were written before ``solve`` streamed them."""
-    tb, rows = table.tb, table.rows
+    tb, rows = table.tb, list(map(table.row, range(table.x_max + 1)))
     payload = {
         "schema_version": 1,
         "tb": tb,

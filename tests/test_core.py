@@ -195,9 +195,39 @@ def test_outcome_table_reads_past_its_rows_by_parity():
         table.row(7)
     with pytest.raises(OutOfRange):
         table.row(-1)
-    # The same rows stored in full make an unequal record.
+    # The same heaps given in full store the same rows: one record.
     full = OutcomeTable(tb=1, rows=tuple(map(table.row, range(7))))
-    assert full.x_max == 6 and full != table
+    assert full.x_max == 6 and full == table and full.rows == rows
+
+
+def test_outcome_table_keeps_two_rows_of_a_constant_table():
+    table = OutcomeTable(tb=1, rows=((0, 0),) * 4)
+    assert table.rows == ((0, 0), (0, 0)) and table.x_max == 3
+
+
+def _given_row(rows, x):
+    """Heap ``x`` of ``rows`` given in full up to ``len(rows) - 1``, then
+    the last two in turn."""
+    return rows[x] if x < len(rows) else rows[len(rows) - 2 + (x - len(rows)) % 2]
+
+
+@given(
+    st.integers(0, 3).flatmap(
+        lambda tb: st.lists(st.tuples(*[st.integers(-1, 1)] * (tb + 1)), min_size=1, max_size=8)
+    ),
+    st.integers(0, 6),
+)
+def test_outcome_table_stores_its_rows_up_to_the_2_cycle(rows, reach):
+    rows = tuple(rows)
+    x_max = len(rows) - 1 + (reach if len(rows) >= 2 else 0)
+    table = OutcomeTable(len(rows[0]) - 1, rows, x_max)
+    stored = table.rows
+    assert stored == rows[: len(stored)] and len(stored) >= min(2, len(rows))
+    assert len(stored) < 3 or stored[-1] != stored[-3]
+    assert table.x_max == x_max
+    assert [table.row(x) for x in range(x_max + 1)] == [
+        _given_row(rows, x) for x in range(x_max + 1)
+    ]
 
 
 def test_outcome_table_refuses_more_rows_than_heaps():
