@@ -2,6 +2,8 @@
 
 import sys
 from importlib.util import LazyLoader, find_spec, module_from_spec
+from operator import attrgetter
+from types import ModuleType
 
 
 def _lazy(name: str):
@@ -12,18 +14,11 @@ def _lazy(name: str):
     return module
 
 
-# ``analysis``, ``general`` and ``oracle`` are lazy: each runs on its first
-# attribute access.  They enter ``sys.modules`` first, so that an in-order pass
-# that patches as it goes (the benchmark's tracer) runs them before its first patch.
-analysis, general, oracle = map(_lazy, ("analysis", "general", "oracle"))
-
-from .core import BidPair, Side, make_position  # noqa: E402
-from .solver import (  # noqa: E402
-    equilibrium_bids,
-    limit_rows,
-    solve,
-    tie_conditioned_value,
-    value,
+# Every layer is lazy: it runs on its first attribute access.  Dependents come
+# first in ``sys.modules``, so an in-order pass that patches as it goes (the
+# benchmark's tracer) runs each layer before it patches a binding that layer imports.
+analysis, general, oracle, solver, automaton, core = map(
+    _lazy, ("analysis", "general", "oracle", "solver", "automaton", "core")
 )
 
 __version__ = "0.1.0"
@@ -38,3 +33,24 @@ __all__ = [
     "tie_conditioned_value",
     "value",
 ]
+
+
+class _Package(ModuleType):
+    # Each root export is read from its layer on every access and never
+    # cached, so ``import bcs`` runs no layer and ``bcs.solve`` is always
+    # ``bcs.solver.solve``, patched or not.  On CPython 3.11 a property read
+    # costs about 0.1 us; a PEP 562 ``__getattr__`` read, about 1 us.
+    BidPair = property(attrgetter("core.BidPair"))
+    Side = property(attrgetter("core.Side"))
+    make_position = property(attrgetter("core.make_position"))
+    equilibrium_bids = property(attrgetter("solver.equilibrium_bids"))
+    limit_rows = property(attrgetter("solver.limit_rows"))
+    solve = property(attrgetter("solver.solve"))
+    tie_conditioned_value = property(attrgetter("solver.tie_conditioned_value"))
+    value = property(attrgetter("solver.value"))
+
+    def __dir__(self):
+        return sorted({*super().__dir__(), *__all__})
+
+
+sys.modules[__name__].__class__ = _Package

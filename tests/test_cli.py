@@ -12,6 +12,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, strategies as st
 
+import bcs
 from bcs import solver
 from bcs.analysis import BidGraphKind
 from bcs.automaton import automaton_fixed_point, convergence_bound
@@ -774,28 +775,113 @@ def test_cli_import_path_is_lean():
     # Loading ``dataclasses`` pulls in ``inspect``, ``ast`` and ``dis``: a
     # fixed cost on every ``bcs`` process.  All seven submodules are in
     # ``sys.modules`` after ``import bcs`` and after ``import bcs.cli``, where
-    # the benchmark's tracer looks for them, but ``analysis``, ``general`` and
-    # ``oracle`` are lazy: a ``limits`` run never executes them.
+    # the benchmark's tracer looks for them, but every layer is lazy: ``import
+    # bcs`` runs none, ``import bcs.cli`` runs ``core``, and a ``limits`` run
+    # never executes ``analysis``, ``general`` or ``oracle``.
     code = (
         "import sys, types\n"
         "def bcs_modules(unrun=False):\n"
         "    print(sorted(name for name, module in sys.modules.items()\n"
         "                 if name.startswith('bcs.')\n"
         "                 and (type(module) is not types.ModuleType or not unrun)))\n"
+        "def heavy():\n"
+        "    print(sorted(m for m in sys.modules if m in ('dataclasses', 'inspect')))\n"
         "import bcs\n"
         "bcs_modules()\n"
+        "bcs_modules(unrun=True)\n"
         "import bcs.cli\n"
         "bcs_modules()\n"
-        "print(sorted(m for m in sys.modules if m in ('dataclasses', 'inspect')))\n"
+        "bcs_modules(unrun=True)\n"
+        "heavy()\n"
         "bcs.cli.main(['limits', '--tb', '8', '--format', 'json'])\n"
         "bcs_modules(unrun=True)\n"
+        "heavy()\n"
     )
-    after_bcs, after_cli, heavy, *_, unrun = _python(code)
+    after_bcs, unrun_bcs, after_cli, unrun_cli, heavy, *_, unrun, heavy_after = _python(code)
     layers = ["analysis", "automaton", "core", "general", "oracle", "solver"]
-    assert after_bcs == str([f"bcs.{m}" for m in layers])
+    assert after_bcs == unrun_bcs == str([f"bcs.{m}" for m in layers])
     assert after_cli == str(sorted(f"bcs.{m}" for m in [*layers, "cli"]))
-    assert heavy == "[]"
+    assert unrun_cli == str([f"bcs.{m}" for m in layers if m != "core"])
+    assert heavy == heavy_after == "[]"
     assert unrun == str(["bcs.analysis", "bcs.general", "bcs.oracle"])
+
+
+# Prints the layers that have run: a lazy module is not yet a plain module.
+_LAYERS_RUN = (
+    "import sys, types\n"
+    "print(' '.join(sorted(name.removeprefix('bcs.') for name, module in sys.modules.items()\n"
+    "                      if name.startswith('bcs.') and name != 'bcs.cli'\n"
+    "                      and type(module) is types.ModuleType)))\n"
+)
+_ALL_BUT_GENERAL = {"analysis", "automaton", "core", "oracle", "solver"}
+
+
+def _runs(argv, layers):
+    return pytest.param(argv, layers, id=" ".join(argv))
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        pytest.param(None, set(), id="import bcs"),
+        pytest.param([], {"core"}, id="import bcs.cli"),
+        _runs(["limits", "--tb", "8", "--format", "json"], {"automaton", "core", "solver"}),
+        _runs(["conjecture", "--tb", "9", "--format", "json"], {"automaton", "core", "solver"}),
+        _runs(["solve", "--tb", "4", "--x-max", "6", "--format", "json"], {"automaton", "core", "solver"}),
+        _runs(["automaton", "--tb", "8", "--format", "json"], {"automaton", "core"}),
+        _runs(["check", "--ruleset", "{ruleset}"], {"core", "general"}),
+        _runs(["check", "--from-json", "{table}"], _ALL_BUT_GENERAL),
+        _runs(["bids", "--tb", "4", "--kind", "tie", "--bid", "1"], _ALL_BUT_GENERAL),
+        _runs(["check", "--tb", "4", "--with-oracle"], _ALL_BUT_GENERAL),
+    ],
+)
+def test_each_command_runs_only_the_layers_it_calls(tmp_path, argv, layers):
+    # ``argv`` None is a bare ``import bcs``; ``[]`` is ``import bcs.cli`` alone.
+    ruleset, table = tmp_path / "zugzwang.game", tmp_path / "t4.json"
+    ruleset.write_text(ZUGZWANG_RULESET, encoding="utf-8")
+    with redirect_stdout(io.StringIO()):
+        assert main(["solve", "--tb", "4", "--x-max", "6", "--format", "json", "--out", str(table)]) == 0
+    if argv is None:
+        code = "import bcs\n"
+    else:
+        argv = [a.format(ruleset=ruleset, table=table) for a in argv]
+        code = "import bcs.cli\n"
+        if argv:
+            code += (
+                "import contextlib, io\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    bcs.cli.main({argv!r})\n"
+            )
+    (ran,) = _python(code + _LAYERS_RUN)
+    assert set(ran.split()) == layers
+
+
+@pytest.mark.parametrize("name", bcs.__all__)
+def test_root_export_is_the_layers_own_object(name, monkeypatch):
+    export = getattr(bcs, name)
+    assert export.__module__ in ("bcs.core", "bcs.solver")
+    layer = sys.modules[export.__module__]
+    assert export is getattr(layer, name)
+    # Never a copy taken once: the root follows a patched layer.
+    monkeypatch.setattr(layer, name, object())
+    assert getattr(bcs, name) is getattr(layer, name)
+
+
+def test_root_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from bcs import *", namespace)
+    assert sorted(namespace.keys() - {"__builtins__"}) == sorted(bcs.__all__)
+
+
+def test_root_dir_lists_the_exports_layers_and_version():
+    layers = ["analysis", "automaton", "core", "general", "oracle", "solver"]
+    assert {*bcs.__all__, *layers, "__version__"} <= set(dir(bcs))
+    assert dir(bcs) == sorted(dir(bcs))
+
+
+def test_root_has_no_other_attribute():
+    with pytest.raises(AttributeError, match="^module 'bcs' has no attribute 'no_such_name'$"):
+        bcs.no_such_name
 
 
 def test_lazy_layers_run_on_first_use():
