@@ -234,11 +234,9 @@ def bid_graph(tb: int, kind: BidGraphKind | str, bid: int, reduced: bool = False
     """Build the bid graph at one bid size, optionally erasing dominated bids.
     ``kind`` may be a kind's value; an unknown one raises ``ValueError``."""
     kind = BidGraphKind(kind)
-    if tb < 0:
-        raise ValueError(f"total budget must be >= 0, got {tb}")
+    zero_row(tb)  # refuses a bad tb
     if not 0 <= bid <= tb:
         raise ValueError(f"bid {bid} outside 0..{tb}")
-    zero_row(tb)  # refuses a tb too large to hold a row
     edges = []
     for m in range(tb + 1):
         opp = tb - m

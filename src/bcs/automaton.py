@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import GameError, zero_row
+from .core import BudgetOutOfRange, GameError, zero_row
 
 
 class ParityError(GameError):
@@ -80,7 +80,7 @@ def convergence_bound(tb: int) -> int:
     total budget either way.
     """
     if tb < 0:
-        raise ValueError(f"total budget must be >= 0, got {tb}")
+        raise BudgetOutOfRange(f"total budget must be >= 0, got {tb}")
     half = tb // 2
     if tb % 2 == 0:
         return 1 + (half + 1) * half - half
@@ -102,9 +102,7 @@ def automaton_fixed_point(tb: int) -> Rows:
     whose values have odd parity as the score parity law demands.  The
     other state always comes from the update rule.
     """
-    if tb < 0:
-        raise ValueError(f"total budget must be >= 0, got {tb}")
-    zero_row(tb)  # refuses a tb too large to hold a row
+    zero_row(tb)  # refuses a bad tb
     if tb % 2 == 0:
         even = tuple(alpha_even(2 * p - tb) for p in range(tb + 1))
         odd = tuple(1 - even[tb - p] for p in range(tb + 1))

@@ -1,14 +1,16 @@
 """Command-line surface: solve, limits, check, automaton, conjecture, bids, play.
 
 Exit codes: 0 on success, 1 when an invariant or ruleset check fails,
-2 on usage errors (bad arguments or a malformed input file), 3 when
-convergence is not reached by its bound.
+2 on usage errors (bad arguments or a malformed input file) and failed
+writes, 3 when convergence is not reached by its bound, 141 (128 +
+SIGPIPE, with nothing on stderr) when the reader of stdout closes early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Iterable, Iterator, Sequence
 
@@ -19,6 +21,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
+EXIT_CLOSED_READER = 141  # 128 + SIGPIPE, as a shell reports a filter whose reader left
 
 # Bad arguments and malformed input files; any other ``GameError`` is a failed check.
 _USAGE_ERRORS = (ValueError, OSError)
@@ -430,8 +433,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a failed write surfaces here, not at exit
+        return code
     except (*_USAGE_ERRORS, GameError) as exc:
+        try:
+            sys.stdout.flush()
+        except OSError:  # drop what stdout holds, or the flush at exit fails on it again
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_CLOSED_READER
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, _USAGE_ERRORS):
             return EXIT_USAGE

@@ -79,12 +79,14 @@ class BidWinner(enum.Enum):
 
 
 def zero_row(tb: int) -> tuple[int, ...]:
-    """``tb + 1`` zeros: row 0 of every table.  A ``tb`` too large for them
-    raises ``ValueError``."""
+    """``tb + 1`` zeros: row 0 of every table, and the one refusal of a bad
+    ``tb``: a negative one, or one too large for the zeros."""
+    if tb < 0:
+        raise BudgetOutOfRange(f"total budget must be >= 0, got {tb}")
     try:
         return (0,) * (tb + 1)
     except (MemoryError, OverflowError):
-        raise ValueError(f"total budget {tb} is too large to hold a row") from None
+        raise BudgetOutOfRange(f"total budget {tb} is too large to hold a row") from None
 
 
 class _PositionFields(NamedTuple):
@@ -209,6 +211,7 @@ class OutcomeTable(_TableFields):
     def __new__(
         cls, tb: int, rows: tuple[tuple[int, ...], ...], x_max: int | None = None
     ) -> OutcomeTable:
+        zero_row(tb)  # refuses a bad tb
         for x, row in enumerate(rows):
             if len(row) != tb + 1:
                 raise ValueError(f"row {x} has {len(row)} values, expected tb+1 = {tb + 1}")

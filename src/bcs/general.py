@@ -30,7 +30,7 @@ from __future__ import annotations
 from graphlib import CycleError, TopologicalSorter
 from typing import Callable, Hashable, Mapping, NamedTuple
 
-from .core import GameError, Side
+from .core import BudgetOutOfRange, GameError, Side
 
 Node = Hashable
 # Per node and marker holder, the value at each Left budget; None where
@@ -105,7 +105,7 @@ class GeneralRuleset(_RulesetFields):
         penalties = dict(penalties)
         bid_set = frozenset(bid_set)
         if tb < 0:
-            raise ValueError(f"total budget must be >= 0, got {tb}")
+            raise BudgetOutOfRange(f"total budget must be >= 0, got {tb}")
         if not bid_set:
             raise InvalidRuleset("bid set must be non-empty")
         if not all(0 <= b <= tb for b in bid_set):

@@ -62,11 +62,9 @@ def oracle_table(tb: int, x_max: int) -> tuple[Layer, ...]:
     ``table[x][left_marker][p]`` is the equilibrium score of heap ``x`` with
     Left holding ``p`` dollars; see :data:`Layer`.
     """
-    if tb < 0:
-        raise ValueError(f"total budget must be >= 0, got {tb}")
+    table = [(zero_row(tb),) * 2]
     if x_max < 0:
         raise ValueError(f"x_max must be >= 0, got {x_max}")
-    table = [(zero_row(tb),) * 2]
     for _ in range(x_max):
         prev = table[-1]
         lows = tuple(tuple(accumulate(reversed(row), min))[::-1] for row in prev)

@@ -115,7 +115,7 @@ def _rows(tb: int) -> Iterator[tuple[int, ...]]:
     Stops before the first row that equals the row two before it.  Row
     ``x + 1`` depends only on row ``x``, so from there the last two rows
     yielded repeat in turn for ever.  At least two rows are yielded.  A
-    ``tb`` too large for row 0 to be built raises ``ValueError``.
+    ``tb`` that :func:`~bcs.core.zero_row` refuses raises there.
     """
     row = zero_row(tb)
     older = old = None
@@ -129,8 +129,7 @@ def solve(tb: int, x_max: int) -> OutcomeTable:
 
     The table stores the rows up to the first 2-cycle, at most
     ``x_star + 2`` of them, and reads later heaps by parity."""
-    if tb < 0:
-        raise ValueError(f"total budget must be >= 0, got {tb}")
+    zero_row(tb)  # refuses a bad tb
     if x_max < 0:
         raise ValueError(f"x_max must be >= 0, got {x_max}")
     return OutcomeTable(tb, tuple(row for _, row in zip(range(x_max + 1), _rows(tb))), x_max)

@@ -351,6 +351,65 @@ def test_module_entry_point():
     assert proc.stdout.splitlines()[0] == "x,p,marker,value"
 
 
+def _env(unbuffered):
+    """This process's environment with ``PYTHONUNBUFFERED`` set or unset."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
+def _bcs_into(stdout, command, unbuffered):
+    """Run ``bcs command`` in a fresh process writing to ``stdout``."""
+    return subprocess.run(
+        [sys.executable, "-m", "bcs", *command.split()],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=_env(unbuffered), timeout=60,
+    )
+
+
+# Two outputs longer than stdout's buffer, which fail while being written,
+# and one shorter, which fails only when flushed.
+_OUTPUTS = [
+    "solve --tb 5 --x-max 100000 --format table",
+    "solve --tb 48 --x-max 579 --format json",
+    "limits --tb 8 --format json",
+]
+_BUFFERING = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+
+
+@_BUFFERING
+@pytest.mark.parametrize("command", _OUTPUTS)
+def test_a_closed_reader_ends_the_output_quietly(command, unbuffered):
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the first byte
+    try:
+        proc = _bcs_into(write, command, unbuffered)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+@_BUFFERING
+def test_a_reader_that_stops_early_ends_the_output_quietly(unbuffered):
+    with subprocess.Popen(
+        [sys.executable, "-m", "bcs", *_OUTPUTS[0].split()],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_env(unbuffered),
+    ) as proc:
+        head = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()  # as ``| head -n 2`` does
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert head[1].split()[0] == "0"
+    assert (code, err) == (141, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@_BUFFERING
+@pytest.mark.parametrize("command", _OUTPUTS)
+def test_a_full_device_is_one_error_line(command, unbuffered):
+    with open("/dev/full", "w") as full:
+        proc = _bcs_into(full, command, unbuffered)
+    assert (proc.returncode, proc.stderr) == (2, "error: [Errno 28] No space left on device\n")
+
+
 # sha256 of stdout and the exit code of each command, captured before the
 # single-table refactor; success output must stay byte-identical.  TABLE is
 # the file written by ``solve --tb 6 --x-max 20 --format json --out``,
@@ -619,6 +678,7 @@ def test_check_from_json_rejects_malformed_table(tmp_path, capsys, text):
         "limits --tb 2305843009213693952",
         "limits --tb 10000000000000000000",
         "solve --tb 2305843009213693952 --x-max 3",
+        "solve --tb 2305843009213693952 --x-max -1",
         "conjecture --tb 10000000000000000000",
         "check --tb 2305843009213693952",
         "play --tb 10000000000000000000 --x 2 --p 1 --marker L --engine-side R",

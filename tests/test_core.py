@@ -248,6 +248,52 @@ def test_outcome_table_refuses_a_repeat_of_fewer_than_two_rows():
     assert OutcomeTable(tb=1, rows=((0, 0), (-1, 1)), x_max=5).row(5) == (-1, 1)
 
 
+# Every entry point that takes a total budget, and whether it builds a row.
+# The oracle's position skips the position's own check, so that it is the
+# oracle that refuses it.
+_BUDGET_ENTRY_POINTS = {
+    "make_position": (lambda tb: make_position(tb, 0, 0, Side.LEFT), False),
+    "OutcomeTable": (lambda tb: OutcomeTable(tb, ()), True),
+    "solve": (lambda tb: solver.solve(tb, 3), True),
+    "limit_rows": (solver.limit_rows, True),
+    "oracle_table": (lambda tb: oracle.oracle_table(tb, 3), True),
+    "oracle_value": (
+        lambda tb: oracle.oracle_value(tb, tuple.__new__(RichmanPosition, (tb, 0, 0, Side.LEFT))),
+        True,
+    ),
+    "automaton_fixed_point": (automaton.automaton_fixed_point, True),
+    "convergence_bound": (automaton.convergence_bound, False),
+    "bid_graph": (lambda tb: analysis.bid_graph(tb, "tie", 0), True),
+    "GeneralRuleset": (
+        lambda tb: general.GeneralRuleset(
+            positions=("a",), left_edges={}, right_edges={}, penalties={},
+            tb=tb, bid_set=frozenset({0}),
+        ),
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _BUDGET_ENTRY_POINTS)
+def test_every_entry_point_refuses_a_negative_total_budget(name):
+    build, _ = _BUDGET_ENTRY_POINTS[name]
+    with pytest.raises(BudgetOutOfRange, match=r"^total budget must be >= 0, got -1$"):
+        build(-1)
+
+
+@pytest.mark.parametrize("name", [n for n, (_, row) in _BUDGET_ENTRY_POINTS.items() if row])
+def test_every_entry_point_that_builds_a_row_refuses_a_total_budget_too_large_for_it(name):
+    build, _ = _BUDGET_ENTRY_POINTS[name]
+    with pytest.raises(BudgetOutOfRange, match=rf"^total budget {2**61} is too large to hold a row$"):
+        build(2**61)
+
+
+def test_a_too_large_total_budget_is_refused_before_a_bad_heap_count():
+    for build in (solver.solve, oracle.oracle_table):
+        with pytest.raises(BudgetOutOfRange, match="too large to hold a row"):
+            build(2**61, -1)
+
+
 def _one_of_each_record():
     pos = make_position(2, 1, 1, Side.LEFT)
     violations = general.check_property_U(general.parse_ruleset(ZUGZWANG_RULESET))
