@@ -1,9 +1,9 @@
 """Command-line surface: solve, limits, check, automaton, conjecture, bids, play.
 
-Exit codes: 0 on success, 1 when an invariant or ruleset check fails,
-2 on usage errors (bad arguments or a malformed input file) and failed
-writes, 3 when convergence is not reached by its bound, 141 (128 +
-SIGPIPE, with nothing on stderr) when the reader of stdout closes early.
+Exit codes: 0 on success, 1 when an invariant or ruleset check fails, 2 on
+usage errors (bad arguments or a malformed input file), failed writes and
+running out of memory, 3 when convergence is not reached by its bound,
+141 (128 + SIGPIPE, nothing on stderr) when the reader of stdout closes early.
 """
 
 from __future__ import annotations
@@ -436,6 +436,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a failed write surfaces here, not at exit
         return code
+    except MemoryError:
+        pass  # reported below, once the frames that filled memory are freed
     except (*_USAGE_ERRORS, GameError) as exc:
         try:
             sys.stdout.flush()
@@ -450,6 +452,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if isinstance(exc, solver.ConvergenceBoundExceeded):
             return EXIT_NO_CONVERGENCE
         return EXIT_CHECK_FAILED
+    with open(os.devnull, "wb") as null:  # drop what stdout holds: a partial output is none
+        os.dup2(null.fileno(), sys.stdout.fileno())
+    at = "" if args.tb is None else f" at total budget {args.tb}"
+    print(f"error: out of memory{at}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -8,18 +8,13 @@ which replays the full three-branch recursion over the complete bid matrix
 as a cross-check.
 
 The row kernel leans on budget monotonicity (property A): every solved row
-is nondecreasing in Left's budget.  On such a row Right's best overbid
-against a Left bid is the smallest one, and its value rises with the bid
-while the tie's value falls, so Left's best bid sits where the two cross,
-and the kernel walks that crossing from each budget to the next.  A row then
-costs O(tb), plus an O(tb) scan that checks the row it starts from; a row
-that is not nondecreasing raises :class:`RowNotMonotone` (the CLI exits 1).
-
-The equilibrium bid sets need every Left bid, not just the best one.  They
-rest on property A as well: Right's best overbid against each bid is read
-the same way, the previous row is checked by the same scan, and a row that
-decreases raises the same :class:`RowNotMonotone`.  A cell then costs
-O(tb) to value and O(tb^2) at most to list its bid pairs.
+is nondecreasing in Left's budget, so Left's best bid sits where the falling
+tie crosses the rising overbid.  :func:`_cell` is the one statement of that
+step.  The kernel walks the crossing from each budget to the next, at O(tb)
+a row.  The equilibrium bid sets walk out from it to the one run of bids
+held to the cell's value, at O(c + run * log tb + pairs) a cell for crossing
+``c``.  Both first check the row they read, at O(tb): one that is not
+nondecreasing raises :class:`RowNotMonotone` (the CLI exits 1).
 
 Only marker-Left values are stored.  The value of a position where Right
 holds the marker is the zero-sum flip ``-row[q]``.  Row ``x`` depends only
@@ -32,6 +27,7 @@ stores the rows up to there (its table reads later heaps by parity), and
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from itertools import islice
 from operator import gt
 from typing import Iterator, NamedTuple
@@ -73,39 +69,43 @@ def _require_monotone(row: tuple[int, ...]) -> None:
         )
 
 
-def _next_row(tb: int, prev: tuple[int, ...]) -> tuple[int, ...]:
-    """One step of the reduced recursion: Right minimizes, Left maximizes.
+def _cell(prev: tuple[int, ...], p: int, q: int, c: int) -> tuple[int, int]:
+    """One cell of the reduced recursion: Right minimizes, Left maximizes.
 
-    Left bids ``l`` (never more than either budget) and Right replies with
-    the tie, worth ``1 - prev[q + l]``, or an overbid.  ``prev`` must be
-    nondecreasing (property A), so Right's best overbid is ``l + 1``, worth
-    ``prev[p + l + 1] - 1``.  That term never falls as ``l`` grows and the
-    tie never rises, so there is a first bid ``c`` where the overbid is
-    worth at least the tie: below ``c`` Right holds Left to the overbid,
-    best at ``c - 1``, and from ``c`` on to the tie, best at ``c``.  A Left
-    bid of all of Right's money (``l = q``) leaves no overbid.
+    Left, with ``p`` against Right's ``q``, bids ``l`` up to both budgets;
+    Right ties, worth ``1 - prev[q + l]``, or overbids.  On a nondecreasing
+    ``prev`` (property A) the best overbid is ``l + 1``, worth
+    ``prev[p + l + 1] - 1``, which never falls as ``l`` grows while the tie
+    never rises.  So from the first bid ``c`` where the overbid is worth at
+    least the tie Right holds Left to the tie, best at ``c``, and below
+    ``c`` to the overbid, best at ``c - 1``.  A bid of all of Right's money
+    (``l = q``) leaves no overbid.  Returns ``c`` and the cell's value.
 
-    The walk to ``c`` starts at the previous budget's: down while the bid
-    below crosses, then up while ``c`` does not, so exactness rests on
-    property A alone.  From one budget to the next the overbid's index rises
-    by one and the tie's falls by one, so on a nondecreasing row a crossing
-    at ``l`` implies one at ``l + 1`` for either neighbouring budget: ``c``
-    moves by at most one bid, as does ``top``, and a row costs O(tb).
+    The walk to ``c`` starts at the given ``c``: down while the bid below
+    crosses, then up while ``c`` does not, so exactness rests on property A
+    alone.  From one budget to the next the overbid's index rises by one and
+    the tie's falls by one, so a crossing at ``l`` implies one at ``l + 1``
+    for either neighbouring budget: ``c`` moves by at most one bid, as does
+    ``top``, and a walk from the neighbour's ``c`` takes O(1) steps.
     """
+    top = p + 1 if p < q else q  # bids below ``top`` leave Right an overbid
+    while c > top or c and prev[p + c] + prev[q + c - 1] >= 2:  # overbid >= tie
+        c -= 1
+    while c < top and prev[p + c + 1] + prev[q + c] < 2:  # overbid < tie
+        c += 1
+    best = prev[p + c] - 1 if c else 1 - prev[q]  # a tie at 0 always exists
+    if c <= p and 1 - prev[q + c] > best:  # Left can afford the tie at ``c``
+        best = 1 - prev[q + c]
+    return c, best
+
+
+def _next_row(tb: int, prev: tuple[int, ...]) -> tuple[int, ...]:
+    """:func:`_cell` at each budget, walked from the previous budget's crossing."""
     _require_monotone(prev)
-    row = []
+    row = [0] * (tb + 1)  # allocated first: a row memory cannot hold fails at once
     c = 0
     for p in range(tb + 1):
-        q = tb - p
-        top = p + 1 if p < q else q  # bids below ``top`` leave Right an overbid
-        while c > top or c and prev[p + c] + prev[q + c - 1] >= 2:  # overbid >= tie
-            c -= 1
-        while c < top and prev[p + c + 1] + prev[q + c] < 2:  # overbid < tie
-            c += 1
-        best = prev[p + c] - 1 if c else 1 - prev[q]  # a tie at 0 always exists
-        if c <= p and 1 - prev[q + c] > best:  # Left can afford the tie at ``c``
-            best = 1 - prev[q + c]
-        row.append(best)
+        c, row[p] = _cell(prev, p, tb - p, c)
     return tuple(row)
 
 
@@ -172,30 +172,25 @@ def tie_conditioned_value(table: OutcomeTable, pos: RichmanPosition, l: int) -> 
 def _marker_left_bids(prev: tuple[int, ...], tb: int, p: int) -> frozenset[BidPair]:
     """Equilibrium bid pairs at a marker-Left cell, from the previous row.
 
-    Right holds each Left bid ``l`` to the tie, worth ``1 - prev[q + l]``,
-    or to its best overbid, which on a nondecreasing ``prev`` (property A)
-    is ``l + 1``, worth ``prev[p + l + 1] - 1``, as in :func:`_next_row`.
-    A Left bid of all of Right's money (``l = q``) leaves no overbid.  Every
-    Left bid held to the row's value is paired with each of Right's
-    replies, the tie or an overbid, that attains it.
+    Below :func:`_cell`'s crossing ``c`` Right holds Left to the overbid,
+    which never falls, and from ``c`` on to the tie, which never rises, so
+    the bids held to the value ``best`` are one run: down from ``c`` while
+    the overbid is worth ``best``, up while the tie is.  Right's overbids
+    worth ``best`` against a bid are one run of the nondecreasing ``prev``.
     """
     _require_monotone(prev)
     q = tb - p
-    held = [min(1 - prev[q + l], prev[p + l + 1] - 1) for l in range(min(p, q - 1) + 1)]
-    if q <= p:
-        held.append(1 - prev[2 * q])
-    best = max(held)
-    pairs = set()
-    for l, worst in enumerate(held):
-        if worst != best:
-            continue
-        if 1 - prev[q + l] == worst:
-            pairs.add(BidPair(l, l, BidWinner.LEFT_TIE))
-        pairs.update(
-            BidPair(l, r, BidWinner.RIGHT_STRICT)
-            for r in range(l + 1, q + 1)
-            if prev[p + r] - 1 == worst
-        )
+    c, best = _cell(prev, p, q, 0)
+    lo = hi = c
+    while lo and prev[p + lo] - 1 == best:  # Right overbids ``lo - 1`` by one
+        lo -= 1
+    while hi <= min(p, q) and 1 - prev[q + hi] == best:  # the tie at ``hi``
+        hi += 1
+    pairs = [BidPair(l, l, BidWinner.LEFT_TIE) for l in range(c, hi)]
+    for l in range(lo, hi):
+        first = bisect_left(prev, best + 1, p + l + 1)
+        end = bisect_right(prev, best + 1, first)
+        pairs += (BidPair(l, r - p, BidWinner.RIGHT_STRICT) for r in range(first, end))
     return frozenset(pairs)
 
 
@@ -238,11 +233,9 @@ def limit_rows(tb: int) -> LimitRows:
     ``x``, so every later row repeats with period 2, no earlier pair of
     same-parity rows two apart agrees, and ``x_star = x - 1`` is the
     smallest heap size from which all of them agree.  Only the last three
-    rows are held; each costs O(tb) in :func:`_next_row`, which walks the
-    crossing from budget to budget and raises :class:`RowNotMonotone` on a
-    row that breaks property A.  A first repeat past ``B(tb) + 2``, for the
-    convergence bound ``B(tb)``, is a hard error: that would contradict the
-    quadratic convergence guarantee.
+    rows are held.  A first repeat past ``B(tb) + 2``, for the convergence
+    bound ``B(tb)``, is a hard error: that would contradict the quadratic
+    convergence guarantee.
     """
     bound = convergence_bound(tb)
     older = old = None

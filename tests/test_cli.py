@@ -9,6 +9,11 @@ import tracemalloc
 from contextlib import redirect_stdout
 from unittest.mock import patch
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -408,6 +413,34 @@ def test_a_full_device_is_one_error_line(command, unbuffered):
     with open("/dev/full", "w") as full:
         proc = _bcs_into(full, command, unbuffered)
     assert (proc.returncode, proc.stderr) == (2, "error: [Errno 28] No space left on device\n")
+
+
+# A row of ``tb + 1`` values takes 8 bytes a value.  With the child's address
+# space capped at 16 bytes a budget, row 0 fits and the kernel's first row
+# does not, so the child fails at once.  A bid graph fills the cap with
+# small edges, which must be freed before the error line can be printed.
+# Only Linux enforces the cap; each case starts one child, never uncapped.
+_TB_PAST_MEMORY = 20_000_000
+
+
+def _cap_address_space():
+    cap = 16 * _TB_PAST_MEMORY
+    resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+
+@pytest.mark.skipif(
+    resource is None or not sys.platform.startswith("linux"), reason="needs an enforced RLIMIT_AS"
+)
+@pytest.mark.parametrize(
+    "command", ["limits", "solve --x-max 3 --format csv", "bids --kind tie --bid 0"]
+)
+def test_a_total_budget_that_exhausts_memory_is_one_error_line(command):
+    proc = subprocess.run(
+        [sys.executable, "-m", "bcs", *command.split(), "--tb", str(_TB_PAST_MEMORY)],
+        capture_output=True, text=True, timeout=60, preexec_fn=_cap_address_space,
+    )
+    error = f"error: out of memory at total budget {_TB_PAST_MEMORY}\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", error)
 
 
 # sha256 of stdout and the exit code of each command, captured before the

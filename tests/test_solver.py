@@ -15,11 +15,13 @@ from bcs.core import (
     OutcomeTable,
     OutOfRange,
     Side,
+    classify_bid,
     make_position,
 )
 from bcs.solver import (
     ConvergenceBoundExceeded,
     RowNotMonotone,
+    _cell,
     _marker_left_bids,
     _next_row,
     _rows,
@@ -111,6 +113,24 @@ def test_cell_values_and_nonempty_bids():
             bids = equilibrium_bids(table, pos)
             assert bids
             assert min(bids) in bids
+
+
+# ``classify_bid`` is the one rule of a turn: each equilibrium pair must be
+# the pair it classifies, and the winner's point plus the successor's value
+# must be the cell's value.
+def test_every_equilibrium_pair_realizes_its_cell_value():
+    for tb in range(17):
+        table = solve(tb, convergence_bound(tb) + 2)
+        for heap in range(1, table.x_max + 1):
+            for p in range(tb + 1):
+                for marker in Side:
+                    pos = make_position(tb, heap, p, marker)
+                    cell = value(table, pos)
+                    for bid in equilibrium_bids(table, pos):
+                        pair, after = classify_bid(pos, bid.left_bid, bid.right_bid)
+                        assert pair == bid
+                        point = 1 if bid.winner.side is Side.LEFT else -1
+                        assert point + value(table, after) == cell, (pos, bid)
 
 
 def test_tie_conditioned_value_examples():
@@ -295,13 +315,22 @@ def _crossings(prev):
 
 # The kernel walks each budget's crossing from the previous one, which costs
 # O(tb) a row because on a nondecreasing row the crossing moves by at most
-# one bid per budget (see ``_next_row``).
+# one bid per budget (see ``_cell``).  The bid sets walk it from bid 0, and
+# both walks land on the crossing a scan from bid 0 finds, with one value.
 @settings(max_examples=300)
 @given(st.lists(_ROW_ENTRIES, min_size=1, max_size=17).map(sorted))
 @example([-3, -3, -3, -3, 1, 1])
 def test_crossing_moves_at_most_one_bid_per_budget(prev):
-    crossings = _crossings(tuple(prev))
+    prev = tuple(prev)
+    tb = len(prev) - 1
+    crossings = _crossings(prev)
     assert all(abs(b - a) <= 1 for a, b in zip(crossings, crossings[1:]))
+    c = 0
+    for p, crossing in enumerate(crossings):
+        walked = _cell(prev, p, tb - p, c)  # as ``_next_row`` walks it
+        c = walked[0]
+        assert _cell(prev, p, tb - p, 0) == walked
+        assert c == crossing
 
 
 def test_kernel_refuses_non_monotone_row():
