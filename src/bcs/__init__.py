@@ -23,34 +23,25 @@ analysis, general, oracle, solver, automaton, core = map(
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BidPair",
-    "Side",
-    "equilibrium_bids",
-    "limit_rows",
-    "make_position",
-    "solve",
-    "tie_conditioned_value",
-    "value",
-]
+# Each root export and the layer it is read from, in ``__all__``'s order.
+_EXPORTS = {
+    "BidPair": "core",
+    "Side": "core",
+    "equilibrium_bids": "solver",
+    "limit_rows": "solver",
+    "make_position": "core",
+    "solve": "solver",
+    "tie_conditioned_value": "solver",
+    "value": "solver",
+}
+__all__ = list(_EXPORTS)
 
-
-class _Package(ModuleType):
-    # Each root export is read from its layer on every access and never
-    # cached, so ``import bcs`` runs no layer and ``bcs.solve`` is always
-    # ``bcs.solver.solve``, patched or not.  On CPython 3.11 a property read
-    # costs about 0.1 us; a PEP 562 ``__getattr__`` read, about 1 us.
-    BidPair = property(attrgetter("core.BidPair"))
-    Side = property(attrgetter("core.Side"))
-    make_position = property(attrgetter("core.make_position"))
-    equilibrium_bids = property(attrgetter("solver.equilibrium_bids"))
-    limit_rows = property(attrgetter("solver.limit_rows"))
-    solve = property(attrgetter("solver.solve"))
-    tie_conditioned_value = property(attrgetter("solver.tie_conditioned_value"))
-    value = property(attrgetter("solver.value"))
-
-    def __dir__(self):
-        return sorted({*super().__dir__(), *__all__})
-
-
+# Each root export is read from its layer on every access and never cached,
+# so ``import bcs`` runs no layer and ``bcs.solve`` is always
+# ``bcs.solver.solve``, patched or not.  On CPython 3.11 a property read costs
+# about 0.1 us; a PEP 562 ``__getattr__`` read, about 1 us.
+_Package = type("_Package", (ModuleType,), {
+    **{name: property(attrgetter(f"{layer}.{name}")) for name, layer in _EXPORTS.items()},
+    "__dir__": lambda self: sorted({*ModuleType.__dir__(self), *__all__}),
+})
 sys.modules[__name__].__class__ = _Package

@@ -13,8 +13,8 @@ import enum
 from itertools import accumulate
 from typing import Callable, NamedTuple
 
+from . import oracle
 from .core import OutcomeTable, Side, zero_row
-from .oracle import oracle_table
 from .solver import solve
 
 
@@ -292,7 +292,7 @@ def check_oracle_equivalence(tb: int, x_max: int) -> InvariantReport:
     computed values: ``-row[tb - p]`` against the marker-Right row.
     """
     table = solve(tb, x_max)
-    for x, layer in enumerate(oracle_table(tb, x_max)):
+    for x, layer in enumerate(oracle.oracle_table(tb, x_max)):
         row = table.row(x)
         for p in range(tb + 1):
             for marker, fast, slow in (

@@ -1,4 +1,4 @@
-"""Closed-form limit rows, the zero-bid automaton, and convergence bounds.
+"""Closed-form limit rows and the zero-bid automaton.
 
 For large heaps the outcome of a budget split depends only on the heap's
 parity.  The stabilized values are described by nearest-integer functions of
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import BudgetOutOfRange, GameError, zero_row
+from .core import GameError, zero_row
 
 
 class ParityError(GameError):
@@ -70,21 +70,6 @@ def beta(delta: int) -> int:
     if abs(delta) % 4 == 1:
         return delta // 2 + iota(delta)
     return (delta + 1) // 2 + iota(delta)
-
-
-def convergence_bound(tb: int) -> int:
-    """Explicit heap-size bound ``B(tb)`` by which outcomes have settled.
-
-    ``1 + (tb/2 + 1) * tb/2 - tb/2`` for even ``tb`` and
-    ``1 + ceil(tb/2)**2 - floor(tb/2)`` for odd ``tb``; quadratic in the
-    total budget either way.
-    """
-    if tb < 0:
-        raise BudgetOutOfRange(f"total budget must be >= 0, got {tb}")
-    half = tb // 2
-    if tb % 2 == 0:
-        return 1 + (half + 1) * half - half
-    return 1 + (half + 1) ** 2 - half
 
 
 def update_rule_holds(rows: Rows) -> bool:

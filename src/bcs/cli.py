@@ -15,7 +15,14 @@ import sys
 from typing import Iterable, Iterator, Sequence
 
 from . import analysis, automaton, general, solver
-from .core import GameError, OutcomeTable, Side, classify_bid, make_position
+from .core import (
+    GameError,
+    OutcomeTable,
+    Side,
+    classify_bid,
+    convergence_bound,
+    make_position,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -153,7 +160,7 @@ def _limit_fields(tb: int) -> tuple[dict, str]:
     """The JSON fields ``tb``, ``bound``, ``x_star``, ``even`` and ``odd`` of
     the limit rows of ``tb``, and their text header."""
     limits = solver.limit_rows(tb)
-    bound = automaton.convergence_bound(tb)
+    bound = convergence_bound(tb)
     fields = {
         "tb": tb,
         "bound": bound,
@@ -246,7 +253,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         table = load_outcome_table_json(data)
         reports = analysis.run_invariant_suite_on(table)
     else:
-        bound = automaton.convergence_bound(args.tb)
+        bound = convergence_bound(args.tb)
         x_max = bound + 2 if args.x_max is None else args.x_max
         reports = analysis.run_invariant_suite_on(solver.solve(args.tb, x_max))
         if args.with_oracle:
@@ -265,7 +272,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_automaton(args: argparse.Namespace) -> int:
     tb = args.tb
-    bound = automaton.convergence_bound(tb)
+    bound = convergence_bound(tb)
     name = automaton.closed_form_name(tb)
     even, odd = automaton.automaton_fixed_point(tb)
     if args.format == "json":

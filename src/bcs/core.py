@@ -89,6 +89,21 @@ def zero_row(tb: int) -> tuple[int, ...]:
         raise BudgetOutOfRange(f"total budget {tb} is too large to hold a row") from None
 
 
+def convergence_bound(tb: int) -> int:
+    """Explicit heap-size bound ``B(tb)`` by which outcomes have settled.
+
+    ``1 + (tb/2 + 1) * tb/2 - tb/2`` for even ``tb`` and
+    ``1 + ceil(tb/2)**2 - floor(tb/2)`` for odd ``tb``; quadratic in the
+    total budget either way.
+    """
+    if tb < 0:
+        raise BudgetOutOfRange(f"total budget must be >= 0, got {tb}")
+    half = tb // 2
+    if tb % 2 == 0:
+        return 1 + (half + 1) * half - half
+    return 1 + (half + 1) ** 2 - half
+
+
 class _PositionFields(NamedTuple):
     tb: int
     heap: int

@@ -32,7 +32,6 @@ from itertools import islice
 from operator import gt
 from typing import Iterator, NamedTuple
 
-from .automaton import convergence_bound
 from .core import (
     BidPair,
     BidWinner,
@@ -41,6 +40,7 @@ from .core import (
     InfeasibleBid,
     OutcomeTable,
     RichmanPosition,
+    convergence_bound,
     zero_row,
 )
 

@@ -14,9 +14,8 @@ from bcs.automaton import (
     automaton_fixed_point,
     closed_form_name,
     conjecture_report,
-    convergence_bound,
 )
-from bcs.core import Side, make_position
+from bcs.core import Side, convergence_bound, make_position
 from bcs.general import check_property_U, parse_ruleset
 from bcs.oracle import bid_matrix, oracle_table
 from bcs.solver import limit_rows, solve, value

@@ -18,9 +18,8 @@ from bcs.analysis import (
     check_oracle_equivalence,
     run_invariant_suite_on,
 )
-from bcs.automaton import convergence_bound
 from bcs.cli import _table_chunks, load_outcome_table_json, main
-from bcs.core import OutcomeTable, Side, make_position
+from bcs.core import OutcomeTable, Side, convergence_bound, make_position
 from bcs.oracle import oracle_table as real_oracle_table
 from bcs.solver import solve, value
 
@@ -562,7 +561,7 @@ def _planted_oracle(cells):
 )
 def test_oracle_equivalence_reports_the_first_disagreement(monkeypatch, capsys, cells, first):
     # the first cell in (x, p, marker L then R) order, with (fast, slow)
-    monkeypatch.setattr("bcs.analysis.oracle_table", _planted_oracle(cells))
+    monkeypatch.setattr("bcs.oracle.oracle_table", _planted_oracle(cells))
     x, p, marker, note = first
     fast = value(solve(5, 12), make_position(5, x, p, marker))
     report = check_oracle_equivalence(5, 12)

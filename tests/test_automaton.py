@@ -9,10 +9,10 @@ from bcs.automaton import (
     beta,
     closed_form_name,
     conjecture_report,
-    convergence_bound,
     iota,
     update_rule_holds,
 )
+from bcs.core import convergence_bound
 from bcs.solver import _next_row, limit_rows, solve
 
 from goldens import (

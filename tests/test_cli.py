@@ -20,9 +20,9 @@ from hypothesis import given, strategies as st
 import bcs
 from bcs import solver
 from bcs.analysis import BidGraphKind
-from bcs.automaton import automaton_fixed_point, convergence_bound
+from bcs.automaton import automaton_fixed_point
 from bcs.cli import build_parser, load_outcome_table_json, main
-from bcs.core import OutcomeTable
+from bcs.core import OutcomeTable, convergence_bound
 
 from goldens import TB5_ROWS, TB8_EVEN_LIMIT, TB8_ODD_LIMIT, ZUGZWANG_RULESET
 
@@ -618,6 +618,16 @@ def test_failed_solve_writes_no_out_file(tmp_path, capsys, monkeypatch, fmt):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_out_dash_is_stdout(tmp_path, capsys, monkeypatch, fmt):
+    monkeypatch.chdir(tmp_path)
+    argv = ("solve", "--tb", "5", "--x-max", "4", "--format", fmt)
+    code, stdout, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and stdout
+    assert run_cli(capsys, *argv, "--out", "-") == (code, stdout, err)
+    assert list(tmp_path.iterdir()) == []
+
+
 _GOOD_TABLE = {
     "schema_version": 1,
     "tb": 1,
@@ -896,7 +906,7 @@ def test_cli_import_path_is_lean():
     assert after_cli == str(sorted(f"bcs.{m}" for m in [*layers, "cli"]))
     assert unrun_cli == str([f"bcs.{m}" for m in layers if m != "core"])
     assert heavy == heavy_after == "[]"
-    assert unrun == str(["bcs.analysis", "bcs.general", "bcs.oracle"])
+    assert unrun == str(["bcs.analysis", "bcs.automaton", "bcs.general", "bcs.oracle"])
 
 
 # Prints the layers that have run: a lazy module is not yet a plain module.
@@ -906,7 +916,7 @@ _LAYERS_RUN = (
     "                      if name.startswith('bcs.') and name != 'bcs.cli'\n"
     "                      and type(module) is types.ModuleType)))\n"
 )
-_ALL_BUT_GENERAL = {"analysis", "automaton", "core", "oracle", "solver"}
+_CHECKS = {"analysis", "core", "solver"}
 
 
 def _runs(argv, layers):
@@ -918,14 +928,18 @@ def _runs(argv, layers):
     [
         pytest.param(None, set(), id="import bcs"),
         pytest.param([], {"core"}, id="import bcs.cli"),
-        _runs(["limits", "--tb", "8", "--format", "json"], {"automaton", "core", "solver"}),
+        _runs(["limits", "--tb", "8", "--format", "json"], {"core", "solver"}),
         _runs(["conjecture", "--tb", "9", "--format", "json"], {"automaton", "core", "solver"}),
-        _runs(["solve", "--tb", "4", "--x-max", "6", "--format", "json"], {"automaton", "core", "solver"}),
+        _runs(["solve", "--tb", "4", "--x-max", "6", "--format", "json"], {"core", "solver"}),
+        # heap 0: the game is over before any bid is read
+        _runs(["play", "--tb", "5", "--x", "0", "--p", "1", "--marker", "L", "--engine-side", "R"],
+              {"core", "solver"}),
         _runs(["automaton", "--tb", "8", "--format", "json"], {"automaton", "core"}),
         _runs(["check", "--ruleset", "{ruleset}"], {"core", "general"}),
-        _runs(["check", "--from-json", "{table}"], _ALL_BUT_GENERAL),
-        _runs(["bids", "--tb", "4", "--kind", "tie", "--bid", "1"], _ALL_BUT_GENERAL),
-        _runs(["check", "--tb", "4", "--with-oracle"], _ALL_BUT_GENERAL),
+        _runs(["check", "--from-json", "{table}"], _CHECKS),
+        _runs(["bids", "--tb", "4", "--kind", "tie", "--bid", "1"], _CHECKS),
+        _runs(["check", "--tb", "4"], _CHECKS),
+        _runs(["check", "--tb", "4", "--with-oracle"], {*_CHECKS, "oracle"}),
     ],
 )
 def test_each_command_runs_only_the_layers_it_calls(tmp_path, argv, layers):

@@ -15,6 +15,7 @@ from bcs.core import (
     RichmanPosition,
     Side,
     classify_bid,
+    convergence_bound,
     make_position,
 )
 from bcs import analysis, automaton, general, oracle, solver
@@ -262,7 +263,7 @@ _BUDGET_ENTRY_POINTS = {
         True,
     ),
     "automaton_fixed_point": (automaton.automaton_fixed_point, True),
-    "convergence_bound": (automaton.convergence_bound, False),
+    "convergence_bound": (convergence_bound, False),
     "bid_graph": (lambda tb: analysis.bid_graph(tb, "tie", 0), True),
     "GeneralRuleset": (
         lambda tb: general.GeneralRuleset(

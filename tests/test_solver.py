@@ -4,7 +4,7 @@ from itertools import islice
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bcs.automaton import convergence_bound
+from bcs.core import convergence_bound
 from bcs.cli import main
 from bcs.core import (
     BidPair,
