@@ -2,8 +2,9 @@
 
 For large heaps the outcome of a budget split depends only on the heap's
 parity.  The stabilized values are described by nearest-integer functions of
-the budget difference ``delta = 2p - tb``: ``alpha_even`` / ``alpha_odd``
-for even total budgets and ``beta`` for odd ones.  A two-state automaton
+the budget difference ``delta = 2p - tb``: ``alpha_even`` on the even heaps
+of an even total budget, ``beta`` on the odd heaps of an odd one; the other
+parity is the image of these under the update rule.  A two-state automaton
 with one node per budget split models perpetual zero-bid ties: winning a
 zero tie hands the opponent the marker and flips the heap parity, giving
 the update ``A(j, p) = 1 - A(j', q)`` with ``j'`` the opposite parity.
@@ -45,18 +46,6 @@ def alpha_even(delta: int) -> int:
     if delta % 4 == 0:
         return (delta + 1) // 2
     return (delta + 2) // 2
-
-
-def alpha_odd(delta: int) -> int:
-    """Stabilized odd-heap value at budget difference ``delta`` (even tb).
-
-    ``ceil((delta+1)/2)`` when ``delta % 4 == 0``, else ``floor``.
-    """
-    if delta % 2 != 0:
-        raise ParityError(f"alpha_odd needs an even budget difference, got {delta}")
-    if delta % 4 == 0:
-        return (delta + 2) // 2
-    return (delta + 1) // 2
 
 
 def beta(delta: int) -> int:

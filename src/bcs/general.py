@@ -265,22 +265,6 @@ def check_property_U(ruleset: GeneralRuleset) -> tuple[UViolation, ...]:
     return tuple(sorted(first.values(), key=lambda v: v.prop))
 
 
-def make_unitary_ruleset(tb: int, x_max: int) -> GeneralRuleset:
-    """Encode the unit-removal heap game on heap sizes ``0..x_max``.
-
-    Both players may remove one pebble; a Left removal scores +1 and a
-    Right removal -1, expressed as signed edge weights.
-    """
-    return GeneralRuleset(
-        positions=tuple(range(x_max + 1)),
-        left_edges={x: {x - 1: 1} for x in range(1, x_max + 1)},
-        right_edges={x: {x - 1: -1} for x in range(1, x_max + 1)},
-        penalties={0: 0},
-        tb=tb,
-        bid_set=frozenset(range(tb + 1)),
-    )
-
-
 def parse_ruleset(text: str) -> GeneralRuleset:
     """Parse the line-oriented ruleset format.
 

@@ -6,6 +6,7 @@ list budgets the other way around, so mirror before comparing with them.
 
 from bcs.automaton import iota
 from bcs.core import Side
+from bcs.general import GeneralRuleset
 
 # Total budget 5, heap sizes 0..2.  Contains the worked one-dollar-tie cell
 # (x=2, p=1) whose value is 0.
@@ -31,6 +32,26 @@ def forced_win_threshold(x: int, q: int, marker: Side) -> int:
 def beta_euclidean(delta: int) -> int:
     """``beta`` read on the non-negative residue ``delta % 4``: never a limit row."""
     return delta // 2 + iota(delta) if delta % 4 == 1 else (delta + 1) // 2 + iota(delta)
+
+
+def alpha_odd(delta: int) -> int:
+    """The paper's odd-heap value at even budget difference ``delta``:
+    ``ceil((delta+1)/2)`` when ``delta % 4 == 0``, else ``floor``.  The
+    engine takes this row as ``alpha_even``'s image under the update rule."""
+    return (delta + 2) // 2 if delta % 4 == 0 else (delta + 1) // 2
+
+
+def make_unitary_ruleset(tb: int, x_max: int) -> GeneralRuleset:
+    """The unit-removal heap game on heap sizes ``0..x_max`` as a general
+    ruleset: either player removes one pebble, Left scoring +1 and Right -1."""
+    return GeneralRuleset(
+        positions=tuple(range(x_max + 1)),
+        left_edges={x: {x - 1: 1} for x in range(1, x_max + 1)},
+        right_edges={x: {x - 1: -1} for x in range(1, x_max + 1)},
+        penalties={0: 0},
+        tb=tb,
+        bid_set=frozenset(range(tb + 1)),
+    )
 
 
 # Stabilized per-parity rows for total budget 8.

@@ -10,7 +10,6 @@ from collections import Counter
 from bcs.analysis import INVARIANT_NAMES, run_invariant_suite_on
 from bcs.automaton import (
     alpha_even,
-    alpha_odd,
     automaton_fixed_point,
     closed_form_name,
     conjecture_report,
@@ -31,6 +30,7 @@ from goldens import (
     TB9_X9_P6_MATRIX,
     TB9_X9_P6_ROW_MAXES,
     ZUGZWANG_RULESET,
+    alpha_odd,
     forced_win_threshold,
 )
 

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from bcs.automaton import (
     ParityError,
     alpha_even,
-    alpha_odd,
     automaton_fixed_point,
     beta,
     closed_form_name,
@@ -20,6 +19,7 @@ from goldens import (
     TB8_ODD_LIMIT,
     TB9_EVEN_LIMIT,
     TB9_ODD_LIMIT,
+    alpha_odd,
     beta_euclidean,
 )
 
@@ -57,9 +57,12 @@ def test_parity_guards():
     with pytest.raises(ParityError):
         alpha_even(3)
     with pytest.raises(ParityError):
-        alpha_odd(-5)
-    with pytest.raises(ParityError):
         beta(2)
+
+
+def test_even_tb_odd_state_is_the_papers_alpha_odd_row():
+    for tb in range(0, 65, 2):
+        assert automaton_fixed_point(tb)[1] == tuple(alpha_odd(2 * p - tb) for p in range(tb + 1))
 
 
 def test_alpha_duality_range():

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import json
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stdout
+from pathlib import Path
 from unittest.mock import patch
 
 try:
@@ -989,6 +991,41 @@ def test_root_dir_lists_the_exports_layers_and_version():
 def test_root_has_no_other_attribute():
     with pytest.raises(AttributeError, match="^module 'bcs' has no attribute 'no_such_name'$"):
         bcs.no_such_name
+
+
+def _public_names_bound(tree):
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            yield stmt.name
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+
+
+def test_every_public_name_has_a_caller_an_export_or_a_readme_line():
+    # A top-level name of a layer that no code in ``src/`` reads, that the
+    # root does not export and that README does not name is surface nobody
+    # uses: a test fixture belongs in ``tests/``, and a second statement of
+    # a rule belongs nowhere.
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in Path(bcs.__file__).parent.glob("*.py")}
+    read = set()
+    for node in (n for tree in trees.values() for n in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    documented = {w for span in re.findall(r"`([^`\n]+)`", readme) for w in re.findall(r"\w+", span)}
+    unused = sorted(
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in _public_names_bound(tree)
+        if not name.startswith("_") and name not in read | bcs._EXPORTS.keys() | documented
+    )
+    assert unused == []
 
 
 def test_lazy_layers_run_on_first_use():

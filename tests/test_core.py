@@ -21,7 +21,7 @@ from bcs.core import (
 from bcs import analysis, automaton, general, oracle, solver
 from bcs.solver import value
 
-from goldens import ZUGZWANG_RULESET
+from goldens import ZUGZWANG_RULESET, make_unitary_ruleset
 
 
 def test_make_position_examples():
@@ -306,7 +306,7 @@ def _one_of_each_record():
         solver.solve(2, 1),
         solver.limit_rows(2),
         oracle.bid_matrix(2, pos),
-        general.make_unitary_ruleset(2, 2),
+        make_unitary_ruleset(2, 2),
         violations[0],
         report.counterexample,
         report,

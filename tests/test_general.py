@@ -11,12 +11,11 @@ from bcs.general import (
     UViolation,
     check_property_U,
     general_values,
-    make_unitary_ruleset,
     parse_ruleset,
 )
 from bcs.solver import solve
 
-from goldens import ZUGZWANG_RULESET
+from goldens import ZUGZWANG_RULESET, make_unitary_ruleset
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bcs.core import GameAlreadyOver, Side, classify_bid, make_position
 from bcs.oracle import bid_matrix, oracle_table, oracle_value
-from bcs.solver import solve, value
+from bcs.solver import limit_rows, solve, value
 
 from goldens import (
     TB9_ROW8,
@@ -136,6 +136,18 @@ def test_oracle_table_matches_the_slice_fill(tb, x_max):
 def test_oracle_has_no_depth_limit():
     pos = make_position(1, 3000, 1, Side.RIGHT)
     assert oracle_value(1, pos) == value(solve(1, 3000), pos)
+
+
+def test_oracle_reaches_the_limit_regime():
+    # ``check --with-oracle`` stops at heap 40, below ``x_star`` from tb 15
+    # on; here the oracle runs two heaps past it and settles where the solver does.
+    for tb in range(33):
+        limits = limit_rows(tb)
+        layers = oracle_table(tb, limits.x_star + 2)
+        assert next(x for x in range(len(layers)) if layers[x + 2] == layers[x]) == limits.x_star
+        for x in (limits.x_star, limits.x_star + 1):
+            row = limits.odd_row if x % 2 else limits.even_row
+            assert layers[x] == (tuple(-v for v in reversed(row)), row), (tb, x)
 
 
 def test_oracle_rejects_a_position_for_another_budget():

@@ -205,6 +205,13 @@ def test_limit_rows_tb0():
     assert limits.x_star <= 2
 
 
+def test_limit_rows_settle_at_the_same_heap_for_tb_2k_minus_1_and_2k():
+    # Observed for every k checked, not a theorem: if a k breaks it, that is
+    # a finding to record, not a check to weaken.
+    for k in range(1, 41):
+        assert limit_rows(2 * k).x_star == limit_rows(2 * k - 1).x_star, k
+
+
 def test_limit_rows_stability_from_x_star():
     for tb in (1, 4, 7):
         limits = limit_rows(tb)
