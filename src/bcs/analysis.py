@@ -1,4 +1,4 @@
-"""Executable invariants over solved tables, the oracle check, bid graphs.
+"""Executable invariants over solved tables and the oracle check.
 
 Every inequality the solved tables are known to satisfy is implemented here
 as a scan that either passes or pins down the first offending cell.  The
@@ -9,12 +9,11 @@ core types.
 
 from __future__ import annotations
 
-import enum
 from itertools import accumulate
 from typing import Callable, NamedTuple
 
 from . import oracle
-from .core import OutcomeTable, Side, zero_row
+from .core import OutcomeTable, Side
 from .solver import solve
 
 
@@ -187,101 +186,6 @@ def run_invariant_suite_on(table: OutcomeTable) -> list[InvariantReport]:
         InvariantReport(name, table.tb, table.x_max, _scan(table, check))
         for name, check in _INVARIANTS
     ]
-
-
-class BidGraphKind(enum.Enum):
-    """Which family of auction resolutions a bid graph depicts."""
-
-    TIE = "tie"
-    HOLDER_WIN = "holder-win"
-    OPPONENT_WIN = "opponent-win"
-
-
-class BidEdge(NamedTuple):
-    src: int
-    dst: int
-    dominated: bool
-
-
-class BidGraph(NamedTuple):
-    """Feasible auction transitions over marker-holder budgets.
-
-    Nodes are the marker holder's dollars.  A tie at ``l`` moves the marker,
-    so the edge lands on the new holder's budget ``tb - m + l``.  Strict
-    wins keep the marker: the holder's budget drops by a holder win and
-    grows by an opponent win.  A strict-win bid is dominated when it
-    exceeds the opponent's budget by more than one dollar: one dollar over
-    already beats every feasible counter-bid.
-    """
-
-    tb: int
-    kind: BidGraphKind
-    bid: int
-    reduced: bool
-    edges: tuple[BidEdge, ...]
-
-    @property
-    def nodes(self) -> tuple[int, ...]:
-        return tuple(range(self.tb + 1))
-
-    @property
-    def label(self) -> str:
-        """Every edge's label: the bid, then ``T`` for a tie or ``W`` for a win."""
-        return f"{self.bid}{'T' if self.kind is BidGraphKind.TIE else 'W'}"
-
-
-def bid_graph(tb: int, kind: BidGraphKind | str, bid: int, reduced: bool = False) -> BidGraph:
-    """Build the bid graph at one bid size, optionally erasing dominated bids.
-    ``kind`` may be a kind's value; an unknown one raises ``ValueError``."""
-    kind = BidGraphKind(kind)
-    zero_row(tb)  # refuses a bad tb
-    if not 0 <= bid <= tb:
-        raise ValueError(f"bid {bid} outside 0..{tb}")
-    edges = []
-    for m in range(tb + 1):
-        opp = tb - m
-        if kind is BidGraphKind.TIE:
-            if bid <= m and bid <= opp:
-                edges.append(BidEdge(m, opp + bid, dominated=False))
-        elif kind is BidGraphKind.HOLDER_WIN:
-            if bid <= m:
-                edges.append(BidEdge(m, m - bid, dominated=bid > opp + 1))
-        else:
-            if bid <= opp:
-                edges.append(BidEdge(m, m + bid, dominated=bid > m + 1))
-    if reduced:
-        edges = [e for e in edges if not e.dominated]
-    return BidGraph(tb=tb, kind=kind, bid=bid, reduced=reduced, edges=tuple(edges))
-
-
-def bid_graph_to_dot(graph: BidGraph) -> str:
-    """Render as a DOT digraph with budget-labelled nodes."""
-    lines = [f'digraph bids_tb{graph.tb} {{']
-    for n in graph.nodes:
-        lines.append(f"  n{n} [label=\"{n}\"];")
-    for e in graph.edges:
-        lines.append(f"  n{e.src} -> n{e.dst} [label=\"{graph.label}\"];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def bid_graph_to_json_dict(graph: BidGraph) -> dict:
-    return {
-        "tb": graph.tb,
-        "kind": graph.kind.value,
-        "bid": graph.bid,
-        "reduced": graph.reduced,
-        "nodes": list(graph.nodes),
-        "edges": [
-            {
-                "from": e.src,
-                "to": e.dst,
-                "label": graph.label,
-                "dominated": e.dominated,
-            }
-            for e in graph.edges
-        ],
-    }
 
 
 def check_oracle_equivalence(tb: int, x_max: int) -> InvariantReport:

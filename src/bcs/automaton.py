@@ -95,10 +95,12 @@ def closed_form_name(tb: int) -> str:
 class ConvergenceReport(NamedTuple):
     """Outcome of comparing solved limit rows with the automaton.
 
-    ``match`` is "exact", "swapped" (rows match with parities interchanged),
-    or "none" for the closed form of the rows' total budget; ``diffs`` holds
-    the per-cell disagreements ``(parity, p, limit, automaton)``, which are
-    empty unless ``match`` is "none".  ``update_rule_holds`` reports whether
+    ``match`` is "exact" or "none" for the closed form of the rows' total
+    budget; ``diffs`` holds the per-cell disagreements ``(parity, p, limit,
+    automaton)``, which are empty unless ``match`` is "none".  No pair of
+    limit rows can match with its parities swapped: each pebble scores
+    +-1, so every value of a heap's row shares that heap's parity, as the
+    closed forms' values do.  ``update_rule_holds`` reports whether
     the limit rows themselves satisfy the automaton update, independent of
     any closed form.
     """
@@ -109,17 +111,13 @@ class ConvergenceReport(NamedTuple):
 
 
 def _compare(rows: Rows, state: Rows) -> tuple[str, tuple[tuple[str, int, int, int], ...]]:
-    if state == rows:
-        return "exact", ()
-    if state == rows[::-1]:
-        return "swapped", ()
     diffs = tuple(
         (parity, p, a, b)
         for parity, limit_row, state_row in zip(("even", "odd"), rows, state)
         for p, (a, b) in enumerate(zip(limit_row, state_row))
         if a != b
     )
-    return "none", diffs
+    return "none" if diffs else "exact", diffs
 
 
 def conjecture_report(rows: Rows) -> ConvergenceReport:

@@ -16,9 +16,11 @@ from typing import Iterable, Iterator, Sequence
 
 from . import analysis, automaton, general, solver
 from .core import (
+    BID_KINDS,
     GameError,
     OutcomeTable,
     Side,
+    bid_graph,
     classify_bid,
     convergence_bound,
     make_position,
@@ -312,11 +314,27 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
 
 
 def cmd_bids(args: argparse.Namespace) -> int:
-    graph = analysis.bid_graph(args.tb, args.kind, args.bid, args.reduced)
+    tb, bid = args.tb, args.bid
+    edges = [e for e in bid_graph(tb, args.kind, bid) if not (args.reduced and e.dominated)]
+    label = f"{bid}{'T' if args.kind == 'tie' else 'W'}"
     if args.format == "json":
-        _emit(_json(analysis.bid_graph_to_json_dict(graph)), args.out)
+        payload = {
+            "tb": tb,
+            "kind": args.kind,
+            "bid": bid,
+            "reduced": args.reduced,
+            "nodes": list(range(tb + 1)),
+            "edges": [
+                {"from": e.src, "to": e.dst, "label": label, "dominated": e.dominated}
+                for e in edges
+            ],
+        }
+        _emit(_json(payload), args.out)
     else:
-        _emit([analysis.bid_graph_to_dot(graph)], args.out)
+        lines = [f"digraph bids_tb{tb} {{"]
+        lines += (f'  n{n} [label="{n}"];' for n in range(tb + 1))
+        lines += (f'  n{e.src} -> n{e.dst} [label="{label}"];' for e in edges)
+        _emit(["\n".join(lines) + "\n}\n"], args.out)
     return EXIT_OK
 
 
@@ -417,10 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bids = sub.add_parser("bids", help="export a bid graph")
     p_bids.add_argument("--tb", type=int, required=True)
-    # ``analysis.BidGraphKind``'s values; reading the enum would load ``analysis``.
-    p_bids.add_argument(
-        "--kind", choices=("holder-win", "opponent-win", "tie"), required=True
-    )
+    p_bids.add_argument("--kind", choices=BID_KINDS, required=True)
     p_bids.add_argument("--bid", type=int, required=True)
     p_bids.add_argument("--reduced", action="store_true")
     _output_args(p_bids, "dot", "json")

@@ -201,6 +201,41 @@ def classify_bid(
     return bid, successor
 
 
+BID_KINDS = ("holder-win", "opponent-win", "tie")
+
+
+class BidEdge(NamedTuple):
+    src: int
+    dst: int
+    dominated: bool
+
+
+def bid_graph(tb: int, kind: str, bid: int) -> tuple[BidEdge, ...]:
+    """Feasible auction transitions at one bid size, of one of the
+    :data:`BID_KINDS`, over marker-holder budgets.
+
+    Nodes are the marker holder's dollars.  A tie at ``l`` moves the marker,
+    so the edge lands on the new holder's budget ``tb - m + l``.  Strict
+    wins keep the marker: the holder's budget drops by a holder win and
+    grows by an opponent win.  A strict-win bid is dominated when it
+    exceeds the opponent's budget by more than one dollar: one dollar over
+    already beats every feasible counter-bid.
+    """
+    zero_row(tb)  # refuses a bad tb
+    if kind not in BID_KINDS:
+        raise ValueError(f"bid graph kind must be one of {', '.join(BID_KINDS)}, got {kind!r}")
+    if not 0 <= bid <= tb:
+        raise ValueError(f"bid {bid} outside 0..{tb}")
+    holders = range(tb + 1)
+    if kind == "tie":
+        edges = (BidEdge(m, tb - m + bid, False) for m in holders if bid <= min(m, tb - m))
+    elif kind == "holder-win":
+        edges = (BidEdge(m, m - bid, bid > tb - m + 1) for m in holders if bid <= m)
+    else:
+        edges = (BidEdge(m, m + bid, bid > m + 1) for m in holders if bid <= tb - m)
+    return tuple(edges)
+
+
 class _TableFields(NamedTuple):
     tb: int
     rows: tuple[tuple[int, ...], ...]
@@ -226,7 +261,8 @@ class OutcomeTable(_TableFields):
     def __new__(
         cls, tb: int, rows: tuple[tuple[int, ...], ...], x_max: int | None = None
     ) -> OutcomeTable:
-        zero_row(tb)  # refuses a bad tb
+        if tb < 0 or not rows:  # rows of the right length show that a row fits
+            zero_row(tb)  # refuses a bad tb
         for x, row in enumerate(rows):
             if len(row) != tb + 1:
                 raise ValueError(f"row {x} has {len(row)} values, expected tb+1 = {tb + 1}")

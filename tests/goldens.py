@@ -62,6 +62,25 @@ TB8_ODD_LIMIT = (-3, -3, -1, -1, 1, 1, 3, 3, 5)
 TB9_EVEN_LIMIT = (-4, -4, -2, -2, 0, 2, 2, 4, 4, 6)
 TB9_ODD_LIMIT = (-5, -3, -3, -1, -1, 1, 3, 3, 5, 5)
 
+# The single-defect tail of the rows at each tb in 4..64, as observed (not
+# proved): the heap from which exactly one cell of each row differs from
+# the row two heaps before, and the number of laps ``J`` the cell makes
+# through the row with a jump.
+SINGLE_DEFECT_TAILS = {
+    4: (3, 0), 5: (3, 1), 6: (3, 1), 7: (5, 1), 8: (5, 1), 9: (7, 1),
+    10: (7, 1), 11: (7, 2), 12: (7, 2), 13: (11, 2), 14: (11, 2), 15: (13, 2),
+    16: (13, 2), 17: (15, 3), 18: (15, 3), 19: (19, 3), 20: (19, 3),
+    21: (23, 3), 22: (23, 3), 23: (25, 4), 24: (25, 4), 25: (29, 4),
+    26: (29, 4), 27: (35, 4), 28: (35, 4), 29: (39, 5), 30: (39, 5),
+    31: (43, 5), 32: (43, 5), 33: (51, 5), 34: (51, 5), 35: (55, 5),
+    36: (55, 5), 37: (59, 6), 38: (59, 6), 39: (67, 6), 40: (67, 6),
+    41: (73, 7), 42: (73, 7), 43: (79, 7), 44: (79, 7), 45: (89, 7),
+    46: (89, 7), 47: (95, 7), 48: (95, 7), 49: (101, 8), 50: (101, 8),
+    51: (113, 8), 52: (113, 8), 53: (119, 9), 54: (119, 9), 55: (127, 9),
+    56: (127, 9), 57: (137, 9), 58: (137, 9), 59: (145, 10), 60: (145, 10),
+    61: (153, 10), 62: (153, 10), 63: (167, 10), 64: (167, 10),
+}
+
 # Full bid matrix at tb=9, heap 9, Left holding 6 dollars and the marker.
 # Rows are Right bids 0..3, columns Left bids 0..6.
 TB9_X9_P6_MATRIX = (

@@ -7,19 +7,23 @@ from hypothesis import given, settings, strategies as st
 from bcs import analysis
 from bcs.analysis import (
     INVARIANT_NAMES,
-    BidGraphKind,
     Counterexample,
     InvariantReport,
     Row,
     _scan,
-    bid_graph,
-    bid_graph_to_dot,
-    bid_graph_to_json_dict,
     check_oracle_equivalence,
     run_invariant_suite_on,
 )
 from bcs.cli import _table_chunks, load_outcome_table_json, main
-from bcs.core import OutcomeTable, Side, convergence_bound, make_position
+from bcs.core import (
+    BID_KINDS,
+    BudgetOutOfRange,
+    OutcomeTable,
+    Side,
+    bid_graph,
+    convergence_bound,
+    make_position,
+)
 from bcs.oracle import oracle_table as real_oracle_table
 from bcs.solver import solve, value
 
@@ -139,81 +143,81 @@ def test_opening_example(p, marker, score):
     assert (5 - p >= forced_win_threshold(2, p, marker.opponent)) == (score == -2)
 
 
+# Bid graphs: ``bcs.core.bid_graph`` and the ``bids`` command that renders it.
 def test_tie_graph_bid0_is_involution():
-    g = bid_graph(5, BidGraphKind.TIE, 0)
-    edges = {(e.src, e.dst) for e in g.edges}
+    edges = {(e.src, e.dst) for e in bid_graph(5, "tie", 0)}
     assert edges == {(0, 5), (5, 0), (1, 4), (4, 1), (2, 3), (3, 2)}
     assert all((b, a) in edges for a, b in edges)
 
 
 def test_tie_graph_bid2_one_directional():
-    g = bid_graph(5, BidGraphKind.TIE, 2)
-    assert {(e.src, e.dst) for e in g.edges} == {(2, 5), (3, 4)}
+    assert {(e.src, e.dst) for e in bid_graph(5, "tie", 2)} == {(2, 5), (3, 4)}
 
 
 def test_tie_graph_composition_symmetry():
     for tb in (4, 5, 6):
         for bid in range(tb + 1):
-            g = bid_graph(tb, BidGraphKind.TIE, bid)
-            for e in g.edges:
+            for e in bid_graph(tb, "tie", bid):
                 assert e.dst == tb - e.src + bid
 
 
 def test_tie_graph_infeasible_bid_is_empty():
-    assert bid_graph(1, BidGraphKind.TIE, 1).edges == ()
+    assert bid_graph(1, "tie", 1) == ()
 
 
-@pytest.mark.parametrize("kind", list(BidGraphKind))
-def test_bid_graph_takes_a_kind_or_its_value(kind):
-    by_value = bid_graph(3, kind.value, 0)
-    assert by_value == bid_graph(3, kind, 0) and by_value.kind is kind
-    assert bid_graph_to_json_dict(by_value)["kind"] == kind.value
-
-
-def test_bid_graph_refuses_an_unknown_kind():
-    with pytest.raises(ValueError, match="'bogus' is not a valid BidGraphKind"):
-        bid_graph(3, "bogus", 0)
+def _undominated(edges):
+    return [(e.src, e.dst) for e in edges if not e.dominated]
 
 
 def test_holder_win_graphs_match_reduction():
-    full = bid_graph(5, BidGraphKind.HOLDER_WIN, 2)
-    assert {(e.src, e.dst) for e in full.edges} == {(2, 0), (3, 1), (4, 2), (5, 3)}
-    reduced = bid_graph(5, BidGraphKind.HOLDER_WIN, 2, reduced=True)
-    assert {(e.src, e.dst) for e in reduced.edges} == {(2, 0), (3, 1), (4, 2)}
-    lone = bid_graph(5, BidGraphKind.HOLDER_WIN, 3, reduced=True)
-    assert [(e.src, e.dst) for e in lone.edges] == [(3, 0)]
+    full = bid_graph(5, "holder-win", 2)
+    assert {(e.src, e.dst) for e in full} == {(2, 0), (3, 1), (4, 2), (5, 3)}
+    assert set(_undominated(full)) == {(2, 0), (3, 1), (4, 2)}
+    assert _undominated(bid_graph(5, "holder-win", 3)) == [(3, 0)]
 
 
 def test_opponent_win_graphs_match_reduction():
-    reduced = bid_graph(5, BidGraphKind.OPPONENT_WIN, 2, reduced=True)
-    assert {(e.src, e.dst) for e in reduced.edges} == {(1, 3), (2, 4), (3, 5)}
-    lone = bid_graph(5, BidGraphKind.OPPONENT_WIN, 3, reduced=True)
-    assert [(e.src, e.dst) for e in lone.edges] == [(2, 5)]
-    ones = bid_graph(5, BidGraphKind.OPPONENT_WIN, 1, reduced=True)
-    assert len(ones.edges) == 5
+    assert set(_undominated(bid_graph(5, "opponent-win", 2))) == {(1, 3), (2, 4), (3, 5)}
+    assert _undominated(bid_graph(5, "opponent-win", 3)) == [(2, 5)]
+    assert len(_undominated(bid_graph(5, "opponent-win", 1))) == 5
 
 
 def test_dominated_flags():
-    g = bid_graph(5, BidGraphKind.HOLDER_WIN, 3)
-    flags = {e.src: e.dominated for e in g.edges}
+    flags = {e.src: e.dominated for e in bid_graph(5, "holder-win", 3)}
     assert flags == {3: False, 4: True, 5: True}
 
 
 def test_bid_graph_rejects_out_of_range():
     with pytest.raises(ValueError):
-        bid_graph(5, BidGraphKind.TIE, 6)
+        bid_graph(5, "tie", 6)
 
 
-def test_dot_export_shape():
-    dot = bid_graph_to_dot(bid_graph(5, BidGraphKind.TIE, 0))
+def test_bid_graph_refuses_an_unknown_kind():
+    message = "bid graph kind must be one of holder-win, opponent-win, tie, got "
+    for kind in ("bogus", "Tie", "holder_win", ""):
+        with pytest.raises(ValueError, match=f"^{message}{kind!r}$"):
+            bid_graph(3, kind, 0)
+        # A bad tb is refused first, then the kind, then the bid.
+        with pytest.raises(BudgetOutOfRange):
+            bid_graph(-1, kind, 9)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            bid_graph(3, kind, 9)
+    assert all(bid_graph(3, kind, 0) for kind in BID_KINDS)
+
+
+def test_dot_export_shape(capsys):
+    assert main(["bids", "--tb", "5", "--kind", "tie", "--bid", "0", "--format", "dot"]) == 0
+    dot = capsys.readouterr().out
     assert dot.startswith("digraph")
     assert dot.count("->") == 6
     assert 'label="0T"' in dot
 
 
-def test_json_export_shape():
-    payload = bid_graph_to_json_dict(bid_graph(5, BidGraphKind.HOLDER_WIN, 3, True))
-    assert "schema_version" not in payload  # the CLI adds the envelope
+def test_json_export_shape(capsys):
+    argv = ["bids", "--tb", "5", "--kind", "holder-win", "--bid", "3", "--reduced", "--format", "json"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["schema_version", "tb", "kind", "bid", "reduced", "nodes", "edges"]
     assert payload["nodes"] == list(range(6))
     assert payload["edges"] == [
         {"from": 3, "to": 0, "label": "3W", "dominated": False}

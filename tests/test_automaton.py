@@ -170,9 +170,16 @@ def test_update_rule_fails_on_a_pair_that_breaks_it():
 
 
 def test_conjecture_report_swapped_pair():
+    # Each row's values share its heap's parity, so every cell of a
+    # swapped pair differs from the closed form.
     even, odd = automaton_fixed_point(8)
-    assert conjecture_report((odd, even)).match == "swapped"
-    assert conjecture_report((odd, even)).diffs == ()
+    report = conjecture_report((odd, even))
+    assert report.match == "none"
+    assert report.diffs == tuple(
+        (parity, p, limit, entry)
+        for parity, limits, entries in (("even", odd, even), ("odd", even, odd))
+        for p, (limit, entry) in enumerate(zip(limits, entries))
+    )
 
 
 def test_update_rule_closure_small_sweep():

@@ -21,9 +21,8 @@ from hypothesis import given, strategies as st
 
 import bcs
 from bcs import solver
-from bcs.analysis import BidGraphKind
 from bcs.automaton import automaton_fixed_point
-from bcs.cli import build_parser, load_outcome_table_json, main
+from bcs.cli import load_outcome_table_json, main
 from bcs.core import OutcomeTable, convergence_bound
 
 from goldens import TB5_ROWS, TB8_EVEN_LIMIT, TB8_ODD_LIMIT, ZUGZWANG_RULESET
@@ -937,9 +936,11 @@ def _runs(argv, layers):
         _runs(["play", "--tb", "5", "--x", "0", "--p", "1", "--marker", "L", "--engine-side", "R"],
               {"core", "solver"}),
         _runs(["automaton", "--tb", "8", "--format", "json"], {"automaton", "core"}),
+        # the text output's 2-cycle verdict is one step of the solver's kernel
+        _runs(["automaton", "--tb", "8"], {"automaton", "core", "solver"}),
         _runs(["check", "--ruleset", "{ruleset}"], {"core", "general"}),
         _runs(["check", "--from-json", "{table}"], _CHECKS),
-        _runs(["bids", "--tb", "4", "--kind", "tie", "--bid", "1"], _CHECKS),
+        _runs(["bids", "--tb", "4", "--kind", "tie", "--bid", "1"], {"core"}),
         _runs(["check", "--tb", "4"], _CHECKS),
         _runs(["check", "--tb", "4", "--with-oracle"], {*_CHECKS, "oracle"}),
     ],
@@ -1036,9 +1037,3 @@ def test_lazy_layers_run_on_first_use():
         "print(parse_ruleset('node a terminal 1\\ntb 2\\nbids all\\n').tb)\n"
     )
     assert _python(code) == ["True", "2"]
-
-
-def test_bids_kind_choices_are_the_bid_graph_kinds():
-    bids = build_parser()._subparsers._group_actions[0].choices["bids"]
-    kind = next(action for action in bids._actions if action.dest == "kind")
-    assert list(kind.choices) == sorted(k.value for k in BidGraphKind)

@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +15,7 @@ from bcs.core import (
     OutOfRange,
     RichmanPosition,
     Side,
+    bid_graph,
     classify_bid,
     convergence_bound,
     make_position,
@@ -187,6 +189,19 @@ def test_outcome_table_validates_shape():
         OutcomeTable(tb=1, rows=((0, 0), (-1, 1, 1)))
 
 
+def test_outcome_table_checks_row_lengths_before_it_builds_a_row_of_its_tb():
+    # A short row is refused without a row of the ``tb`` it claims: the
+    # zeros of tb 50,000,000 would take 400 MB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^row 0 has 1 values, expected tb\+1 = 50000001$"):
+            OutcomeTable(50_000_000, ((0,),))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_outcome_table_reads_past_its_rows_by_parity():
     rows = ((0, 0), (-1, 1), (0, 2))
     table = OutcomeTable(tb=1, rows=rows, x_max=6)
@@ -264,7 +279,7 @@ _BUDGET_ENTRY_POINTS = {
     ),
     "automaton_fixed_point": (automaton.automaton_fixed_point, True),
     "convergence_bound": (convergence_bound, False),
-    "bid_graph": (lambda tb: analysis.bid_graph(tb, "tie", 0), True),
+    "bid_graph": (lambda tb: bid_graph(tb, "tie", 0), True),
     "GeneralRuleset": (
         lambda tb: general.GeneralRuleset(
             positions=("a",), left_edges={}, right_edges={}, penalties={},
@@ -298,7 +313,6 @@ def test_a_too_large_total_budget_is_refused_before_a_bad_heap_count():
 def _one_of_each_record():
     pos = make_position(2, 1, 1, Side.LEFT)
     violations = general.check_property_U(general.parse_ruleset(ZUGZWANG_RULESET))
-    graph = analysis.bid_graph(2, analysis.BidGraphKind.TIE, 0)
     report = analysis.InvariantReport("parity", 2, 1, analysis.Counterexample(1, 0, (0,)))
     return [
         pos,
@@ -310,8 +324,7 @@ def _one_of_each_record():
         violations[0],
         report.counterexample,
         report,
-        graph.edges[0],
-        graph,
+        bid_graph(2, "tie", 0)[0],
         automaton.conjecture_report(automaton.automaton_fixed_point(2)),
     ]
 

@@ -33,6 +33,7 @@ from bcs.solver import (
 )
 
 from goldens import (
+    SINGLE_DEFECT_TAILS,
     TB5_ROWS,
     TB8_EVEN_LIMIT,
     TB8_ODD_LIMIT,
@@ -203,6 +204,26 @@ def test_limit_rows_tb0():
     assert limits.even_row == (0,)
     assert limits.odd_row == (1,)
     assert limits.x_star <= 2
+
+
+@pytest.mark.parametrize("tb", SINGLE_DEFECT_TAILS)
+def test_rows_end_in_a_single_defect_tail(tb):
+    # Observed data, not a theorem: from the tail start on, one cell of each
+    # row differs from the row two heaps before.  It moves down one budget a
+    # heap and wraps from 0 to tb, but once a lap it jumps instead, and the
+    # jumps grow by 4 from lap to lap.
+    start, laps = SINGLE_DEFECT_TAILS[tb]
+    rows = list(_rows(tb))
+    diffs = [[b - a for a, b in zip(older, row)] for older, row in zip(rows, rows[2:])]
+    assert {d for diff in diffs for d in diff} <= {-2, 0, 2}
+    changed = [[p for p, d in enumerate(diff) if d] for diff in diffs]  # heaps 2, 3, ...
+    assert len(changed[start - 3]) != 1
+    cells = [cell for (cell,) in changed[start - 2:]]
+    assert cells[-1] == tb // 2 + 1
+    jumps = [b - a for a, b in zip(cells, cells[1:]) if b - a != -1 and (a, b) != (0, tb)]
+    assert jumps == list(range(-(4 * laps + 1), -4, 4) if tb % 2 == 0 else range(-4 * laps, -3, 4))
+    if tb % 2 == 0 and tb - 1 in SINGLE_DEFECT_TAILS:
+        assert SINGLE_DEFECT_TAILS[tb - 1] == SINGLE_DEFECT_TAILS[tb]
 
 
 def test_limit_rows_settle_at_the_same_heap_for_tb_2k_minus_1_and_2k():
