@@ -192,6 +192,25 @@ def test_bid_graph_rejects_out_of_range():
         bid_graph(5, "tie", 6)
 
 
+# The case ids keep the names the kinds had when they were enum members.
+@pytest.mark.parametrize(
+    "kind",
+    [pytest.param(k, id=f"BidGraphKind.{k.upper().replace('-', '_')}") for k in BID_KINDS],
+)
+def test_bid_graph_takes_a_kind_or_its_value(kind, capsys):
+    """``bid_graph`` and ``bcs bids --kind`` take the same kind string, and
+    the JSON document carries it back with the library's edges."""
+    edges = bid_graph(3, kind, 0)
+    assert edges
+    assert main(["bids", "--tb", "3", "--kind", kind, "--bid", "0", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["kind"] == kind
+    label = "0T" if kind == "tie" else "0W"
+    assert payload["edges"] == [
+        {"from": e.src, "to": e.dst, "label": label, "dominated": e.dominated} for e in edges
+    ]
+
+
 def test_bid_graph_refuses_an_unknown_kind():
     message = "bid graph kind must be one of holder-win, opponent-win, tie, got "
     for kind in ("bogus", "Tie", "holder_win", ""):
