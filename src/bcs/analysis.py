@@ -1,7 +1,7 @@
 """Executable invariants over solved tables and the oracle check.
 
 Every inequality the solved tables are known to satisfy is implemented here
-as a scan that either passes or pins down the first offending cell.  The
+as a row check that either passes or pins down the first offending cell.  The
 solver's tables are also compared cell by cell with :mod:`bcs.oracle`, the
 independent mechanism: it shares nothing with :mod:`bcs.solver` but the
 core types.
@@ -9,12 +9,12 @@ core types.
 
 from __future__ import annotations
 
-from itertools import accumulate
-from typing import Callable, NamedTuple
+from itertools import accumulate, chain
+from typing import Callable, Iterable, NamedTuple
 
 from . import oracle
-from .core import OutcomeTable, Side
-from .solver import solve
+from .core import OutcomeTable, Side, zero_row
+from .solver import first_fall, solve
 
 
 class Counterexample(NamedTuple):
@@ -51,31 +51,10 @@ Row = tuple[int, ...]
 RowCheck = Callable[[int, Row, Row | None, Row | None], tuple | None]
 
 
-def _scan(table: OutcomeTable, check: RowCheck) -> Counterexample | None:
-    """The first heap, in ascending order, where ``check`` fails.
-
-    ``check`` sees heap ``x``, its row and the rows of heaps ``x - 1`` and
-    ``x - 2`` (None below 0), and returns ``(p, values[, note])`` at its
-    first failing budget, or None.  It reads nothing else but the parity of
-    ``x``, and past its stored rows any table, solved or loaded, repeats the
-    last two in turn, so from heap ``len(rows) + 2`` on every heap shows it
-    what the heap two before showed: the scan stops at ``len(rows) + 1``.
-    """
-    prev = older = None
-    for x in range(min(table.x_max, len(table.rows) + 1) + 1):
-        row = table.row(x)
-        found = check(x, row, prev, older)
-        if found is not None:
-            return Counterexample(x, *found)
-        older, prev = prev, row
-    return None
-
-
 def _budget_monotonicity(x: int, row: Row, prev: Row | None, older: Row | None):
-    """More money with the marker is never worse."""
-    for p in range(1, len(row)):
-        if row[p] < row[p - 1]:
-            return p, (row[p], row[p - 1])
+    """More money with the marker is never worse (property A)."""
+    if (p := first_fall(row)) is not None:
+        return p + 1, (row[p + 1], row[p])
 
 
 def _tie_monotonicity(x: int, row: Row, prev: Row | None, older: Row | None):
@@ -179,13 +158,31 @@ _INVARIANTS: tuple[tuple[str, RowCheck], ...] = (
 INVARIANT_NAMES = tuple(name for name, _ in _INVARIANTS)
 
 
+def run_invariant_suite(tb: int, x_max: int, rows: Iterable[Row]) -> list[InvariantReport]:
+    """The ten invariants on heaps ``0..x_max``, in one ascending pass over
+    ``rows``, those of heaps ``0, 1, ...`` up to the first 2-cycle at most.
+    Each check sees heap ``x``, its row and the two below (None below 0),
+    returns ``(p, values[, note])`` at its first failing budget or None, and
+    runs up to that failure.  Past the rows the last two repeat in turn, so
+    the pass stops at ``len(rows) + 1``: a later heap would show each check
+    what the heap two before showed."""
+    zero_row(tb)  # refuses a bad tb ahead of a bad x_max, as solve does
+    if x_max < 0:
+        raise ValueError(f"x_max must be >= 0, got {x_max}")
+    found: dict[str, Counterexample] = {}
+    prev = older = None
+    for x, row in zip(range(x_max + 1), chain(rows, (None, None))):
+        row = older if row is None else row  # past the rows: the row two before
+        for name, check in _INVARIANTS:
+            if name not in found and (cex := check(x, row, prev, older)) is not None:
+                found[name] = Counterexample(x, *cex)
+        older, prev = prev, row
+    return [InvariantReport(name, tb, x_max, found.get(name)) for name in INVARIANT_NAMES]
+
+
 def run_invariant_suite_on(table: OutcomeTable) -> list[InvariantReport]:
-    """Run all ten invariants over an already solved table, each as one
-    :func:`_scan`."""
-    return [
-        InvariantReport(name, table.tb, table.x_max, _scan(table, check))
-        for name, check in _INVARIANTS
-    ]
+    """:func:`run_invariant_suite` over an already solved table."""
+    return run_invariant_suite(table.tb, table.x_max, table.rows)
 
 
 def check_oracle_equivalence(tb: int, x_max: int) -> InvariantReport:

@@ -95,29 +95,21 @@ def closed_form_name(tb: int) -> str:
 class ConvergenceReport(NamedTuple):
     """Outcome of comparing solved limit rows with the automaton.
 
-    ``match`` is "exact" or "none" for the closed form of the rows' total
-    budget; ``diffs`` holds the per-cell disagreements ``(parity, p, limit,
-    automaton)``, which are empty unless ``match`` is "none".  No pair of
-    limit rows can match with its parities swapped: each pebble scores
-    +-1, so every value of a heap's row shares that heap's parity, as the
-    closed forms' values do.  ``update_rule_holds`` reports whether
-    the limit rows themselves satisfy the automaton update, independent of
-    any closed form.
+    ``diffs`` holds the cells ``(parity, p, limit, automaton)`` where the
+    rows disagree with the closed form of their total budget; ``match`` is
+    "exact" when there are none and "none" otherwise.  No pair of limit
+    rows can match with its parities swapped: each pebble scores +-1, so
+    every value of a heap's row shares that heap's parity, as the closed
+    forms' values do.  ``update_rule_holds`` reports whether the limit rows
+    themselves satisfy the automaton update, independent of any closed form.
     """
 
     update_rule_holds: bool
-    match: str
     diffs: tuple[tuple[str, int, int, int], ...]
 
-
-def _compare(rows: Rows, state: Rows) -> tuple[str, tuple[tuple[str, int, int, int], ...]]:
-    diffs = tuple(
-        (parity, p, a, b)
-        for parity, limit_row, state_row in zip(("even", "odd"), rows, state)
-        for p, (a, b) in enumerate(zip(limit_row, state_row))
-        if a != b
-    )
-    return "none" if diffs else "exact", diffs
+    @property
+    def match(self) -> str:
+        return "none" if self.diffs else "exact"
 
 
 def conjecture_report(rows: Rows) -> ConvergenceReport:
@@ -127,5 +119,11 @@ def conjecture_report(rows: Rows) -> ConvergenceReport:
     full, never raised.  The update-rule closure of the limit rows is
     checked separately from any closed-form seed.
     """
-    match, diffs = _compare(rows, automaton_fixed_point(len(rows[0]) - 1))
-    return ConvergenceReport(update_rule_holds(rows), match, diffs)
+    state = automaton_fixed_point(len(rows[0]) - 1)
+    diffs = tuple(
+        (parity, p, a, b)
+        for parity, limit_row, state_row in zip(("even", "odd"), rows, state)
+        for p, (a, b) in enumerate(zip(limit_row, state_row))
+        if a != b
+    )
+    return ConvergenceReport(update_rule_holds(rows), diffs)

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from . import analysis, automaton, general, solver
@@ -50,24 +51,27 @@ def _emit(chunks: Iterable[str], out_path: str | None) -> None:
             fh.writelines(chunks)
 
 
-def _json(payload: dict, rows: Iterable[str] | None = None) -> Iterator[str]:
+def _json(payload: dict, name: str | None = None, entries: Iterable[str] = ()) -> Iterator[str]:
     """``payload`` inside the schema-version envelope, in the bytes of
-    ``json.dumps(..., indent=2)``.  ``rows``, when given, are the rendered
-    entries of a last, non-empty list ``"rows"``, yielded one at a time."""
+    ``json.dumps(..., indent=2)``.  ``entries``, when ``name`` is given, are
+    the rendered entries of a last list ``name``, yielded one at a time."""
     text = json.dumps({"schema_version": 1, **payload}, indent=2)
-    if rows is None:
+    if name is None:
         yield text + "\n"
         return
-    yield text[:-2] + ',\n  "rows": ['  # reopen the object before its "\n}"
+    yield text[:-2] + f',\n  "{name}": ['  # reopen the object before its "\n}"
     separator = "\n"
-    for row in rows:
-        yield separator + row
+    for entry in entries:
+        yield separator + entry
         separator = ",\n"
-    yield "\n  ]\n}\n"
+    yield "]\n}\n" if separator == "\n" else "\n  ]\n}\n"
 
 
-# One entry of a table's "rows" at the depth ``json.dumps(indent=2)`` puts it.
+# One entry of a table's "rows", and of a bid graph's "edges", at the depth
+# ``json.dumps(indent=2)`` puts it.
 _JSON_ROW = '    {{\n      "x": {},\n      "values": [\n        {}\n      ]\n    }}'
+_JSON_EDGE = ('    {{\n      "from": {},\n      "to": {},\n      "label": "{}",\n'
+              '      "dominated": {}\n    }}')
 
 
 def _budget_columns(
@@ -112,7 +116,7 @@ def _table_chunks(table: OutcomeTable, fmt: str) -> Iterator[str]:
             _JSON_ROW.format(x, ",\n        ".join(map(str, table.row(x))))
             for x in heaps
         )
-        yield from _json({"tb": table.tb, "x_max": table.x_max}, rows)
+        yield from _json({"tb": table.tb, "x_max": table.x_max}, "rows", rows)
     else:
         rows = map(table.row, heaps)
         yield from _budget_columns(table.tb, "x \\ p^", heaps, rows, table.rows)
@@ -255,9 +259,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         table = load_outcome_table_json(data)
         reports = analysis.run_invariant_suite_on(table)
     else:
-        bound = convergence_bound(args.tb)
-        x_max = bound + 2 if args.x_max is None else args.x_max
-        reports = analysis.run_invariant_suite_on(solver.solve(args.tb, x_max))
+        x_max = convergence_bound(args.tb) + 2 if args.x_max is None else args.x_max
+        reports = analysis.run_invariant_suite(args.tb, x_max, solver.rows(args.tb))
         if args.with_oracle:
             reports.append(analysis.check_oracle_equivalence(args.tb, min(x_max, 40)))
 
@@ -315,7 +318,7 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
 
 def cmd_bids(args: argparse.Namespace) -> int:
     tb, bid = args.tb, args.bid
-    edges = [e for e in bid_graph(tb, args.kind, bid) if not (args.reduced and e.dominated)]
+    edges = (e for e in bid_graph(tb, args.kind, bid) if not (args.reduced and e.dominated))
     label = f"{bid}{'T' if args.kind == 'tie' else 'W'}"
     if args.format == "json":
         payload = {
@@ -324,17 +327,16 @@ def cmd_bids(args: argparse.Namespace) -> int:
             "bid": bid,
             "reduced": args.reduced,
             "nodes": list(range(tb + 1)),
-            "edges": [
-                {"from": e.src, "to": e.dst, "label": label, "dominated": e.dominated}
-                for e in edges
-            ],
         }
-        _emit(_json(payload), args.out)
+        entries = (
+            _JSON_EDGE.format(e.src, e.dst, label, "true" if e.dominated else "false")
+            for e in edges
+        )
+        _emit(_json(payload, "edges", entries), args.out)
     else:
-        lines = [f"digraph bids_tb{tb} {{"]
-        lines += (f'  n{n} [label="{n}"];' for n in range(tb + 1))
-        lines += (f'  n{e.src} -> n{e.dst} [label="{label}"];' for e in edges)
-        _emit(["\n".join(lines) + "\n}\n"], args.out)
+        nodes = (f'  n{n} [label="{n}"];\n' for n in range(tb + 1))
+        arcs = (f'  n{e.src} -> n{e.dst} [label="{label}"];\n' for e in edges)
+        _emit(chain([f"digraph bids_tb{tb} {{\n"], nodes, arcs, ["}\n"]), args.out)
     return EXIT_OK
 
 

@@ -19,7 +19,7 @@ nondecreasing raises :class:`RowNotMonotone` (the CLI exits 1).
 Only marker-Left values are stored.  The value of a position where Right
 holds the marker is the zero-sum flip ``-row[q]``.  Row ``x`` depends only
 on row ``x - 1``, so once a row equals the row two before it, every later
-row is a copy.  :func:`_rows` is the one loop that produces rows and the one
+row is a copy.  :func:`rows` is the one loop that produces rows and the one
 test for that 2-cycle: it stops before the first repeat, :func:`solve`
 stores the rows up to there (its table reads later heaps by parity), and
 :func:`limit_rows` reads the limits off them.
@@ -59,10 +59,16 @@ class RowNotMonotone(GameError):
     """
 
 
+def first_fall(row: tuple[int, ...]) -> int | None:
+    """The first budget ``p`` where ``row`` falls, ``row[p] > row[p + 1]``, or
+    None where budget monotonicity (property A) holds on ``row``."""
+    if any(map(gt, row, islice(row, 1, None))):
+        return next(p for p in range(len(row) - 1) if row[p] > row[p + 1])
+
+
 def _require_monotone(row: tuple[int, ...]) -> None:
     """Raise :class:`RowNotMonotone` at the first budget where ``row`` falls."""
-    if any(map(gt, row, islice(row, 1, None))):
-        p = next(p for p in range(len(row) - 1) if row[p] > row[p + 1])
+    if (p := first_fall(row)) is not None:
         raise RowNotMonotone(
             f"row falls from {row[p]} at budget {p} to {row[p + 1]} at budget "
             f"{p + 1}: budget monotonicity (property A) does not hold"
@@ -109,7 +115,7 @@ def _next_row(tb: int, prev: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _rows(tb: int) -> Iterator[tuple[int, ...]]:
+def rows(tb: int) -> Iterator[tuple[int, ...]]:
     """Rows ``0, 1, 2, ...`` of the reduced recursion, up to the first 2-cycle.
 
     Stops before the first row that equals the row two before it.  Row
@@ -132,7 +138,7 @@ def solve(tb: int, x_max: int) -> OutcomeTable:
     zero_row(tb)  # refuses a bad tb
     if x_max < 0:
         raise ValueError(f"x_max must be >= 0, got {x_max}")
-    return OutcomeTable(tb, tuple(row for _, row in zip(range(x_max + 1), _rows(tb))), x_max)
+    return OutcomeTable(tb, tuple(row for _, row in zip(range(x_max + 1), rows(tb))), x_max)
 
 
 def value(table: OutcomeTable, pos: RichmanPosition) -> int:
@@ -239,7 +245,7 @@ def limit_rows(tb: int) -> LimitRows:
     """
     bound = convergence_bound(tb)
     older = old = None
-    for x, row in enumerate(_rows(tb)):
+    for x, row in enumerate(rows(tb)):
         if x >= bound + 2:
             raise ConvergenceBoundExceeded(
                 f"rows at {bound} and {bound + 2} still differ for tb={tb}"

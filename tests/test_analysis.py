@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from itertools import accumulate
 
 import pytest
@@ -10,8 +11,8 @@ from bcs.analysis import (
     Counterexample,
     InvariantReport,
     Row,
-    _scan,
     check_oracle_equivalence,
+    run_invariant_suite,
     run_invariant_suite_on,
 )
 from bcs.cli import _table_chunks, load_outcome_table_json, main
@@ -25,7 +26,14 @@ from bcs.core import (
     make_position,
 )
 from bcs.oracle import oracle_table as real_oracle_table
-from bcs.solver import solve, value
+from bcs.solver import (
+    RowNotMonotone,
+    _next_row,
+    first_fall,
+    rows as solver_rows,
+    solve,
+    value,
+)
 
 from goldens import forced_win_threshold
 
@@ -247,8 +255,8 @@ def test_oracle_equivalence_helper():
     assert check_oracle_equivalence(5, 12).passed
 
 
-# The ten invariant scans as they were before ``_scan`` ran them as row
-# checks, kept verbatim as the reference: each walks every heap up to
+# The ten invariant scans as they were before they became row checks run
+# by one pass, kept verbatim as the reference: each walks every heap up to
 # ``x_max`` itself.
 def _cells(table: OutcomeTable):
     for x in range(table.x_max + 1):
@@ -430,11 +438,18 @@ def test_suite_on_a_solved_table_equals_its_full_copy(tb):
     assert run_invariant_suite_on(table) == _reference_suite(table)
 
 
+def _pulled(rows, log):
+    """``rows``, each logged by its heap as the pass pulls it."""
+    for x, row in enumerate(rows):
+        log.append(x)
+        yield row
+
+
 @pytest.mark.parametrize("x_max", [0, 1, 2, 3, 5, 11, 12, 13, 14, 15, 30])
-def test_scan_stops_two_heaps_past_the_stored_rows(x_max):
+def test_scan_stops_two_heaps_past_the_stored_rows(monkeypatch, x_max):
     table = solve(7, x_max)
     assert len(table.rows) == min(x_max + 1, 13)  # x_star = 11 at tb 7
-    seen = []
+    seen, pulled = [], []
 
     def record(x, row, prev, older):
         seen.append(x)
@@ -442,22 +457,69 @@ def test_scan_stops_two_heaps_past_the_stored_rows(x_max):
         assert prev == (table.row(x - 1) if x >= 1 else None)
         assert older == (table.row(x - 2) if x >= 2 else None)
 
-    assert _scan(table, record) is None
-    assert seen == list(range(min(x_max, len(table.rows) + 1) + 1))
-    found = _scan(table, lambda x, row, prev, older: (0, (x,), "n") if x == x_max else None)
+    monkeypatch.setattr(analysis, "_INVARIANTS", (("parity", record),))
+    for rows in (table.rows, solver_rows(7)):  # stored, and as the solver yields them
+        seen.clear()
+        pulled.clear()
+        assert all(r.passed for r in run_invariant_suite(7, x_max, _pulled(rows, pulled)))
+        assert seen == list(range(min(x_max, len(table.rows) + 1) + 1))
+        assert pulled == list(range(len(table.rows)))  # not one row past x_max
+    fail = lambda x, row, prev, older: (0, (x,), "n") if x == x_max else None
+    monkeypatch.setattr(analysis, "_INVARIANTS", (("parity", fail),))
+    found = run_invariant_suite_on(table)[INVARIANT_NAMES.index("parity")].counterexample
     assert found == (Counterexample(x_max, 0, (x_max,), "n") if x_max <= 14 else None)
 
 
 def test_suite_reads_no_row_past_the_repeat(monkeypatch):
     table = solve(8, convergence_bound(8) + 2)
     loaded = load_outcome_table_json(json.loads("".join(_table_chunks(table, "json"))))
-    read, heaps = OutcomeTable.row, []
-    monkeypatch.setattr(OutcomeTable, "row", lambda t, x: heaps.append(x) or read(t, x))
+    heaps = []
+    monkeypatch.setattr(analysis, "_INVARIANTS", (("parity", lambda x, *rows: heaps.append(x)),))
+    monkeypatch.setattr(OutcomeTable, "row", lambda t, x: pytest.fail(f"row({x}) read"))
     run_invariant_suite_on(table)
-    assert max(heaps) == len(table.rows) + 1 < table.x_max
+    assert heaps == list(range(len(table.rows) + 2)) and len(table.rows) + 1 < table.x_max
     heaps.clear()
     run_invariant_suite_on(loaded)
-    assert max(heaps) == len(loaded.rows) + 1 < loaded.x_max
+    assert heaps == list(range(len(loaded.rows) + 2)) and len(loaded.rows) + 1 < loaded.x_max
+
+
+@pytest.mark.parametrize("tb", range(41))
+def test_streamed_suite_equals_the_suite_on_a_solved_table(tb):
+    bound = convergence_bound(tb)
+    for x_max in (0, 1, 2, 3, 5, 10, bound + 2, bound + 7):
+        streamed = run_invariant_suite(tb, x_max, solver_rows(tb))
+        assert streamed == run_invariant_suite_on(solve(tb, x_max)), x_max
+
+
+def test_streamed_suite_holds_a_few_rows_not_the_table():
+    # Measured: a peak of 13,480 bytes, about 13 rows of 1,072 bytes.  The
+    # 2,487-row table that the suite was once run on took 6,785,400 to build.
+    tb = 128
+    run_invariant_suite(tb, 3, solver_rows(tb))  # first-call caches are not counted
+    tracemalloc.start()
+    try:
+        reports = run_invariant_suite(tb, convergence_bound(tb) + 2, solver_rows(tb))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in reports)
+    assert peak < 32 * 1024
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=8).map(tuple))
+def test_property_a_names_one_first_fall_for_the_kernel_and_the_invariant(row):
+    falls = [p for p in range(len(row) - 1) if row[p] > row[p + 1]]
+    p = falls[0] if falls else None
+    assert first_fall(row) == p
+    report = run_invariant_suite_on(OutcomeTable(len(row) - 1, (row,)))[0]
+    assert report.name == "budget_monotonicity"
+    if p is None:
+        assert report.passed and _next_row(len(row) - 1, row)
+    else:
+        assert report.counterexample == (0, p + 1, (row[p + 1], row[p]), "")
+        with pytest.raises(RowNotMonotone, match=f"^row falls from {row[p]} at budget {p} to "):
+            _next_row(len(row) - 1, row)
 
 
 @pytest.mark.parametrize("tb", [2, 5, 8, 11])

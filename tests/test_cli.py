@@ -23,7 +23,7 @@ import bcs
 from bcs import solver
 from bcs.automaton import automaton_fixed_point
 from bcs.cli import load_outcome_table_json, main
-from bcs.core import OutcomeTable, convergence_bound
+from bcs.core import OutcomeTable, bid_graph, convergence_bound
 
 from goldens import TB5_ROWS, TB8_EVEN_LIMIT, TB8_ODD_LIMIT, ZUGZWANG_RULESET
 
@@ -275,6 +275,27 @@ def test_bids_tie_infeasible_is_empty(capsys):
     code, out, _ = run_cli(capsys, "bids", "--tb", "1", "--kind", "tie", "--bid", "1")
     assert code == 0
     assert "->" not in out
+
+
+@pytest.mark.parametrize(
+    "tb,kind,bid,reduced",
+    [(4, "tie", 3, False), (1, "tie", 1, True), (5, "tie", 0, False), (8, "holder-win", 3, False),
+     (8, "holder-win", 3, True), (8, "opponent-win", 0, True), (0, "opponent-win", 0, False)],
+)
+def test_bids_json_streams_the_bytes_of_the_whole_document(capsys, tb, kind, bid, reduced):
+    # The edges are rendered one at a time; an empty list still reads "[]".
+    argv = ["bids", "--tb", str(tb), "--kind", kind, "--bid", str(bid), "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv, *(["--reduced"] if reduced else []))
+    label = f"{bid}{'T' if kind == 'tie' else 'W'}"
+    edges = [
+        {"from": e.src, "to": e.dst, "label": label, "dominated": e.dominated}
+        for e in bid_graph(tb, kind, bid)
+        if not (reduced and e.dominated)
+    ]
+    payload = {"schema_version": 1, "tb": tb, "kind": kind, "bid": bid, "reduced": reduced,
+               "nodes": list(range(tb + 1)), "edges": edges}
+    assert (code, out) == (0, json.dumps(payload, indent=2) + "\n")
+    assert ('"edges": []' in out) == (not edges)
 
 
 def test_deterministic_output(capsys):

@@ -4,6 +4,7 @@ from itertools import islice
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bcs import solver
 from bcs.core import convergence_bound
 from bcs.cli import main
 from bcs.core import (
@@ -24,7 +25,6 @@ from bcs.solver import (
     _cell,
     _marker_left_bids,
     _next_row,
-    _rows,
     equilibrium_bids,
     limit_rows,
     solve,
@@ -213,7 +213,7 @@ def test_rows_end_in_a_single_defect_tail(tb):
     # heap and wraps from 0 to tb, but once a lap it jumps instead, and the
     # jumps grow by 4 from lap to lap.
     start, laps = SINGLE_DEFECT_TAILS[tb]
-    rows = list(_rows(tb))
+    rows = list(solver.rows(tb))
     diffs = [[b - a for a, b in zip(older, row)] for older, row in zip(rows, rows[2:])]
     assert {d for diff in diffs for d in diff} <= {-2, 0, 2}
     changed = [[p for p, d in enumerate(diff) if d] for diff in diffs]  # heaps 2, 3, ...
@@ -389,9 +389,9 @@ def test_limit_rows_stops_at_the_first_two_cycle(monkeypatch):
     limits = limit_rows(8)
     assert limits.x_star == 11
     assert len(calls) == limits.x_star + 2  # rows 1..k, k = x_star + 2
-    # ``_rows`` stops before row k, the first that repeats the row two before.
+    # ``rows`` stops before row k, the first that repeats the row two before.
     calls.clear()
-    rows = list(islice(_rows(8), 100))  # bounded, should ``_rows`` run on
+    rows = list(islice(solver.rows(8), 100))  # bounded, should ``rows`` run on
     assert len(rows) == len(calls) == limits.x_star + 2
     assert rows[-1] != rows[-3] and _next_row(8, rows[-1]) == rows[-2]
     # ``solve`` computes and stores the same rows, and reads the 2-cycle past them.
