@@ -36,35 +36,48 @@ EXIT_CLOSED_READER = 141  # 128 + SIGPIPE, as a shell reports a filter whose rea
 # Bad arguments and malformed input files; any other ``GameError`` is a failed check.
 _USAGE_ERRORS = (ValueError, OSError)
 
+_BLOCK = 1 << 16  # unbuffered, each write of ``_emit`` is a system call
+
 
 def _emit(chunks: Iterable[str], out_path: str | None) -> None:
     """Write ``chunks`` in order to ``out_path``, or to stdout for ``None`` or
-    ``"-"``.  The file is opened only once the first chunk is ready."""
-    chunks = iter(chunks)
-    first = next(chunks, "")
+    ``"-"``, in blocks of at least ``_BLOCK`` characters but the last.  The
+    file is opened only once the first block is ready."""
+    blocks = _blocks(chunks)
+    # The first block is made before a file is opened; ``iter`` frees it once written.
+    blocks = chain(iter([next(blocks)]), blocks)
     if out_path is None or out_path == "-":
-        sys.stdout.write(first)
-        sys.stdout.writelines(chunks)
+        sys.stdout.writelines(blocks)
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(first)
-            fh.writelines(chunks)
+            fh.writelines(blocks)
 
 
-def _json(payload: dict, name: str | None = None, entries: Iterable[str] = ()) -> Iterator[str]:
+def _blocks(chunks: Iterable[str]) -> Iterator[str]:
+    """``chunks`` joined in order into blocks of at least ``_BLOCK`` characters but the last."""
+    block = ""
+    for chunk in chunks:
+        block += chunk  # CPython extends the block in place; no list of chunks is held
+        if len(block) >= _BLOCK:
+            yield block
+            block = ""
+    yield block
+
+
+def _json(payload: dict, **lists: Iterable[str]) -> Iterator[str]:
     """``payload`` inside the schema-version envelope, in the bytes of
-    ``json.dumps(..., indent=2)``.  ``entries``, when ``name`` is given, are
-    the rendered entries of a last list ``name``, yielded one at a time."""
+    ``json.dumps(..., indent=2)``, followed by each of ``lists``: the
+    rendered entries of a trailing list, yielded one at a time."""
     text = json.dumps({"schema_version": 1, **payload}, indent=2)
-    if name is None:
-        yield text + "\n"
-        return
-    yield text[:-2] + f',\n  "{name}": ['  # reopen the object before its "\n}"
-    separator = "\n"
-    for entry in entries:
-        yield separator + entry
-        separator = ",\n"
-    yield "]\n}\n" if separator == "\n" else "\n  ]\n}\n"
+    yield text[:-2]  # the object before its closing "\n}"
+    for name, entries in lists.items():
+        yield f',\n  "{name}": ['
+        separator = "\n"
+        for entry in entries:
+            yield separator + entry
+            separator = ",\n"
+        yield "]" if separator == "\n" else "\n  ]"
+    yield "\n}\n"
 
 
 # One entry of a table's "rows", and of a bid graph's "edges", at the depth
@@ -116,7 +129,7 @@ def _table_chunks(table: OutcomeTable, fmt: str) -> Iterator[str]:
             _JSON_ROW.format(x, ",\n        ".join(map(str, table.row(x))))
             for x in heaps
         )
-        yield from _json({"tb": table.tb, "x_max": table.x_max}, "rows", rows)
+        yield from _json({"tb": table.tb, "x_max": table.x_max}, rows=rows)
     else:
         rows = map(table.row, heaps)
         yield from _budget_columns(table.tb, "x \\ p^", heaps, rows, table.rows)
@@ -285,7 +298,7 @@ def cmd_automaton(args: argparse.Namespace) -> int:
         _emit(_json(payload), args.out)
     else:
         # a 2-cycle is not yet proof of the limit
-        step = solver._next_row(tb, even), solver._next_row(tb, odd)
+        step = solver.next_row(tb, even), solver.next_row(tb, odd)
         verdict = "holds" if step == (odd, even) else "FAILS"
         seed = f"seed {name} (2-cycle of the recursion: {verdict})\n"
         columns = _budget_columns(tb, "p^", ("x even", "x odd"), (even, odd), (even, odd))
@@ -321,18 +334,13 @@ def cmd_bids(args: argparse.Namespace) -> int:
     edges = (e for e in bid_graph(tb, args.kind, bid) if not (args.reduced and e.dominated))
     label = f"{bid}{'T' if args.kind == 'tie' else 'W'}"
     if args.format == "json":
-        payload = {
-            "tb": tb,
-            "kind": args.kind,
-            "bid": bid,
-            "reduced": args.reduced,
-            "nodes": list(range(tb + 1)),
-        }
+        payload = {"tb": tb, "kind": args.kind, "bid": bid, "reduced": args.reduced}
+        nodes = (f"    {n}" for n in range(tb + 1))
         entries = (
             _JSON_EDGE.format(e.src, e.dst, label, "true" if e.dominated else "false")
             for e in edges
         )
-        _emit(_json(payload, "edges", entries), args.out)
+        _emit(_json(payload, nodes=nodes, edges=entries), args.out)
     else:
         nodes = (f'  n{n} [label="{n}"];\n' for n in range(tb + 1))
         arcs = (f'  n{e.src} -> n{e.dst} [label="{label}"];\n' for e in edges)

@@ -14,7 +14,7 @@ the total budget, Right's share is always derived.
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 
 class GameError(Exception):
@@ -210,7 +210,7 @@ class BidEdge(NamedTuple):
     dominated: bool
 
 
-def bid_graph(tb: int, kind: str, bid: int) -> tuple[BidEdge, ...]:
+def bid_graph(tb: int, kind: str, bid: int) -> Iterator[BidEdge]:
     """Feasible auction transitions at one bid size, of one of the
     :data:`BID_KINDS`, over marker-holder budgets.
 
@@ -219,7 +219,8 @@ def bid_graph(tb: int, kind: str, bid: int) -> tuple[BidEdge, ...]:
     wins keep the marker: the holder's budget drops by a holder win and
     grows by an opponent win.  A strict-win bid is dominated when it
     exceeds the opponent's budget by more than one dollar: one dollar over
-    already beats every feasible counter-bid.
+    already beats every feasible counter-bid.  The edges come lazily, in
+    ascending source; a bad ``tb``, kind or bid is refused by the call.
     """
     zero_row(tb)  # refuses a bad tb
     if kind not in BID_KINDS:
@@ -228,12 +229,10 @@ def bid_graph(tb: int, kind: str, bid: int) -> tuple[BidEdge, ...]:
         raise ValueError(f"bid {bid} outside 0..{tb}")
     holders = range(tb + 1)
     if kind == "tie":
-        edges = (BidEdge(m, tb - m + bid, False) for m in holders if bid <= min(m, tb - m))
-    elif kind == "holder-win":
-        edges = (BidEdge(m, m - bid, bid > tb - m + 1) for m in holders if bid <= m)
-    else:
-        edges = (BidEdge(m, m + bid, bid > m + 1) for m in holders if bid <= tb - m)
-    return tuple(edges)
+        return (BidEdge(m, tb - m + bid, False) for m in holders if bid <= min(m, tb - m))
+    if kind == "holder-win":
+        return (BidEdge(m, m - bid, bid > tb - m + 1) for m in holders if bid <= m)
+    return (BidEdge(m, m + bid, bid > m + 1) for m in holders if bid <= tb - m)
 
 
 class _TableFields(NamedTuple):

@@ -10,9 +10,10 @@ as a cross-check.
 The row kernel leans on budget monotonicity (property A): every solved row
 is nondecreasing in Left's budget, so Left's best bid sits where the falling
 tie crosses the rising overbid.  :func:`_cell` is the one statement of that
-step.  The kernel walks the crossing from each budget to the next, at O(tb)
-a row.  The equilibrium bid sets walk out from it to the one run of bids
-held to the cell's value, at O(c + run * log tb + pairs) a cell for crossing
+step.  The kernel, :func:`next_row`, walks the crossing from each budget to
+the next, at O(tb) a row; ``bcs automaton`` steps its seeds with it.  The
+equilibrium bid sets walk out from the crossing to the one run of bids held
+to the cell's value, at O(c + run * log tb + pairs) a cell for crossing
 ``c``.  Both first check the row they read, at O(tb): one that is not
 nondecreasing raises :class:`RowNotMonotone` (the CLI exits 1).
 
@@ -105,7 +106,7 @@ def _cell(prev: tuple[int, ...], p: int, q: int, c: int) -> tuple[int, int]:
     return c, best
 
 
-def _next_row(tb: int, prev: tuple[int, ...]) -> tuple[int, ...]:
+def next_row(tb: int, prev: tuple[int, ...]) -> tuple[int, ...]:
     """:func:`_cell` at each budget, walked from the previous budget's crossing."""
     _require_monotone(prev)
     row = [0] * (tb + 1)  # allocated first: a row memory cannot hold fails at once
@@ -127,7 +128,7 @@ def rows(tb: int) -> Iterator[tuple[int, ...]]:
     older = old = None
     while row != older:
         yield row
-        older, old, row = old, row, _next_row(tb, row)
+        older, old, row = old, row, next_row(tb, row)
 
 
 def solve(tb: int, x_max: int) -> OutcomeTable:

@@ -28,8 +28,8 @@ from bcs.core import (
 from bcs.oracle import oracle_table as real_oracle_table
 from bcs.solver import (
     RowNotMonotone,
-    _next_row,
     first_fall,
+    next_row,
     rows as solver_rows,
     solve,
     value,
@@ -170,7 +170,7 @@ def test_tie_graph_composition_symmetry():
 
 
 def test_tie_graph_infeasible_bid_is_empty():
-    assert bid_graph(1, "tie", 1) == ()
+    assert tuple(bid_graph(1, "tie", 1)) == ()
 
 
 def _undominated(edges):
@@ -178,7 +178,7 @@ def _undominated(edges):
 
 
 def test_holder_win_graphs_match_reduction():
-    full = bid_graph(5, "holder-win", 2)
+    full = tuple(bid_graph(5, "holder-win", 2))
     assert {(e.src, e.dst) for e in full} == {(2, 0), (3, 1), (4, 2), (5, 3)}
     assert set(_undominated(full)) == {(2, 0), (3, 1), (4, 2)}
     assert _undominated(bid_graph(5, "holder-win", 3)) == [(3, 0)]
@@ -208,7 +208,7 @@ def test_bid_graph_rejects_out_of_range():
 def test_bid_graph_takes_a_kind_or_its_value(kind, capsys):
     """``bid_graph`` and ``bcs bids --kind`` take the same kind string, and
     the JSON document carries it back with the library's edges."""
-    edges = bid_graph(3, kind, 0)
+    edges = tuple(bid_graph(3, kind, 0))
     assert edges
     assert main(["bids", "--tb", "3", "--kind", kind, "--bid", "0", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -229,7 +229,7 @@ def test_bid_graph_refuses_an_unknown_kind():
             bid_graph(-1, kind, 9)
         with pytest.raises(ValueError, match=f"^{message}"):
             bid_graph(3, kind, 9)
-    assert all(bid_graph(3, kind, 0) for kind in BID_KINDS)
+    assert all(tuple(bid_graph(3, kind, 0)) for kind in BID_KINDS)
 
 
 def test_dot_export_shape(capsys):
@@ -515,11 +515,11 @@ def test_property_a_names_one_first_fall_for_the_kernel_and_the_invariant(row):
     report = run_invariant_suite_on(OutcomeTable(len(row) - 1, (row,)))[0]
     assert report.name == "budget_monotonicity"
     if p is None:
-        assert report.passed and _next_row(len(row) - 1, row)
+        assert report.passed and next_row(len(row) - 1, row)
     else:
         assert report.counterexample == (0, p + 1, (row[p + 1], row[p]), "")
         with pytest.raises(RowNotMonotone, match=f"^row falls from {row[p]} at budget {p} to "):
-            _next_row(len(row) - 1, row)
+            next_row(len(row) - 1, row)
 
 
 @pytest.mark.parametrize("tb", [2, 5, 8, 11])

@@ -12,7 +12,7 @@ from bcs.automaton import (
     update_rule_holds,
 )
 from bcs.core import convergence_bound
-from bcs.solver import _next_row, limit_rows, solve
+from bcs.solver import limit_rows, next_row, solve
 
 from goldens import (
     TB8_EVEN_LIMIT,
@@ -205,7 +205,7 @@ def test_limit_rows_match_the_full_table(tb):
     x_max = convergence_bound(tb) + 2
     rows = [(0,) * (tb + 1)]
     while len(rows) <= x_max:  # every row up to the bound, no early stop
-        rows.append(_next_row(tb, rows[-1]))
+        rows.append(next_row(tb, rows[-1]))
     table = solve(tb, x_max)
     assert tuple(map(table.row, range(x_max + 1))) == tuple(rows)
     assert rows[x_max - 2] == rows[x_max]

@@ -23,7 +23,7 @@ import bcs
 from bcs import solver
 from bcs.automaton import automaton_fixed_point
 from bcs.cli import load_outcome_table_json, main
-from bcs.core import OutcomeTable, bid_graph, convergence_bound
+from bcs.core import BID_KINDS, OutcomeTable, bid_graph, convergence_bound
 
 from goldens import TB5_ROWS, TB8_EVEN_LIMIT, TB8_ODD_LIMIT, ZUGZWANG_RULESET
 
@@ -279,11 +279,11 @@ def test_bids_tie_infeasible_is_empty(capsys):
 
 @pytest.mark.parametrize(
     "tb,kind,bid,reduced",
-    [(4, "tie", 3, False), (1, "tie", 1, True), (5, "tie", 0, False), (8, "holder-win", 3, False),
-     (8, "holder-win", 3, True), (8, "opponent-win", 0, True), (0, "opponent-win", 0, False)],
+    [(tb, kind, bid, reduced) for tb in range(14) for kind in BID_KINDS
+     for bid in range(tb + 1) for reduced in (False, True)],
 )
 def test_bids_json_streams_the_bytes_of_the_whole_document(capsys, tb, kind, bid, reduced):
-    # The edges are rendered one at a time; an empty list still reads "[]".
+    # The nodes and edges are rendered one at a time; an empty list still reads "[]".
     argv = ["bids", "--tb", str(tb), "--kind", kind, "--bid", str(bid), "--format", "json"]
     code, out, _ = run_cli(capsys, *argv, *(["--reduced"] if reduced else []))
     label = f"{bid}{'T' if kind == 'tie' else 'W'}"
@@ -439,30 +439,46 @@ def test_a_full_device_is_one_error_line(command, unbuffered):
 
 # A row of ``tb + 1`` values takes 8 bytes a value.  With the child's address
 # space capped at 16 bytes a budget, row 0 fits and the kernel's first row
-# does not, so the child fails at once.  A bid graph fills the cap with
-# small edges, which must be freed before the error line can be printed.
-# Only Linux enforces the cap; each case starts one child, never uncapped.
+# does not, so the child fails at once.  Only Linux enforces the cap; each
+# case starts one child, never uncapped.
 _TB_PAST_MEMORY = 20_000_000
+_RLIMIT_AS = pytest.mark.skipif(
+    resource is None or not sys.platform.startswith("linux"), reason="needs an enforced RLIMIT_AS"
+)
 
 
-def _cap_address_space():
-    cap = 16 * _TB_PAST_MEMORY
+def _cap_address_space(cap):
     resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
 
 
-@pytest.mark.skipif(
-    resource is None or not sys.platform.startswith("linux"), reason="needs an enforced RLIMIT_AS"
-)
-@pytest.mark.parametrize(
-    "command", ["limits", "solve --x-max 3 --format csv", "bids --kind tie --bid 0"]
-)
+@_RLIMIT_AS
+@pytest.mark.parametrize("command", ["limits", "solve --x-max 3 --format csv"])
 def test_a_total_budget_that_exhausts_memory_is_one_error_line(command):
     proc = subprocess.run(
         [sys.executable, "-m", "bcs", *command.split(), "--tb", str(_TB_PAST_MEMORY)],
-        capture_output=True, text=True, timeout=60, preexec_fn=_cap_address_space,
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: _cap_address_space(16 * _TB_PAST_MEMORY),
     )
     error = f"error: out of memory at total budget {_TB_PAST_MEMORY}\n"
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", error)
+
+
+@_RLIMIT_AS
+def test_a_bid_graph_larger_than_the_address_space_is_written_as_it_is_made(tmp_path):
+    # Held whole, the tb-10^6 graph ran out of memory under a 128 MB cap.
+    # Written as it is made, it runs in under 28 MB, 8 MB of which is
+    # ``zero_row``'s refusal row, so it passes under 64 MB with room to spare.
+    tb, out = 1_000_000, tmp_path / "bids.dot"
+    with open(out, "w") as fh:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bcs", "bids", "--tb", str(tb), "--kind", "tie", "--bid", "0"],
+            stdout=fh, stderr=subprocess.PIPE, text=True, timeout=60,
+            preexec_fn=lambda: _cap_address_space(64 << 20),
+        )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    with open(out) as fh:
+        # The header, tb + 1 nodes, an edge from every budget at a tied bid 0, "}".
+        assert sum(1 for _ in fh) == 1 + 2 * (tb + 1) + 1
 
 
 # sha256 of stdout and the exit code of each command, captured before the
@@ -624,6 +640,48 @@ def test_solve_text_table_memory_is_bounded_by_the_table(tmp_path):
     assert _solve_peak_beyond_the_table(5, 50_000, "table", tmp_path / "t5.txt") < 256 * 1024
 
 
+def test_bids_json_memory_is_bounded_by_the_refusal_row(tmp_path):
+    # Nodes and edges are rendered as they are written: the peak is
+    # ``zero_row``'s 800 KB tuple and about 49 KB more.  Held whole, the
+    # graph and its "nodes" list peaked at 26 MB.
+    tb = 100_000
+    argv = ["bids", "--tb", str(tb), "--kind", "tie", "--bid", "0", "--format", "json",
+            "--out", str(tmp_path / "b.json")]
+    assert main(argv) == 0  # imports and first-call caches are not counted
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (tb + 1) + 256 * 1024
+
+
+class _CountedWrites(io.StringIO):
+    """A stdout that counts the calls of its ``write``."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["solve --tb 48 --x-max 579 --format json",
+     "bids --tb 100000 --kind tie --bid 0 --format json",
+     "bids --tb 100000 --kind tie --bid 0 --format dot"],
+)
+def test_output_is_written_in_blocks_of_64_kib(command):
+    # Unbuffered, each write is a system call: one a line or row cost a third
+    # of the run time of a large ``bids``.
+    out = _CountedWrites()
+    with redirect_stdout(out):
+        assert main(command.split()) == 0
+    assert 1 <= out.writes <= len(out.getvalue().encode()) // 65536 + 1
+
+
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
 def test_failed_solve_writes_no_out_file(tmp_path, capsys, monkeypatch, fmt):
     out = tmp_path / "table.out"
@@ -632,9 +690,9 @@ def test_failed_solve_writes_no_out_file(tmp_path, capsys, monkeypatch, fmt):
     assert (code, stdout) == (2, "") and err.startswith("error: ")
     assert not out.exists()
 
-    kernel = solver._next_row
+    kernel = solver.next_row
     # Row 1 reversed falls, so the kernel refuses it when asked for row 2.
-    monkeypatch.setattr(solver, "_next_row", lambda tb, prev: kernel(tb, prev)[::-1])
+    monkeypatch.setattr(solver, "next_row", lambda tb, prev: kernel(tb, prev)[::-1])
     code, stdout, err = run_cli(capsys, "solve", "--tb", "5", "--x-max", "4", *argv)
     assert (code, stdout) == (1, "") and err.startswith("error: row falls from ")
     assert not out.exists()

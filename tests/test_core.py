@@ -324,7 +324,7 @@ def _one_of_each_record():
         violations[0],
         report.counterexample,
         report,
-        bid_graph(2, "tie", 0)[0],
+        tuple(bid_graph(2, "tie", 0))[0],
         automaton.conjecture_report(automaton.automaton_fixed_point(2)),
     ]
 

@@ -24,9 +24,9 @@ from bcs.solver import (
     RowNotMonotone,
     _cell,
     _marker_left_bids,
-    _next_row,
     equilibrium_bids,
     limit_rows,
+    next_row,
     solve,
     tie_conditioned_value,
     value,
@@ -309,7 +309,7 @@ _ROW_ENTRIES = st.one_of(st.integers(-3, 3), st.integers())
 def test_kernel_matches_literal_recursion_on_monotone_rows(prev):
     prev = tuple(prev)
     tb = len(prev) - 1
-    row = _next_row(tb, prev)
+    row = next_row(tb, prev)
     for p in range(tb + 1):
         options = _literal_responses(prev, p)
         held = {l: min(v for _, v in replies) for l, replies in options.items()}
@@ -355,7 +355,7 @@ def test_crossing_moves_at_most_one_bid_per_budget(prev):
     assert all(abs(b - a) <= 1 for a, b in zip(crossings, crossings[1:]))
     c = 0
     for p, crossing in enumerate(crossings):
-        walked = _cell(prev, p, tb - p, c)  # as ``_next_row`` walks it
+        walked = _cell(prev, p, tb - p, c)  # as ``next_row`` walks it
         c = walked[0]
         assert _cell(prev, p, tb - p, 0) == walked
         assert c == crossing
@@ -363,14 +363,14 @@ def test_crossing_moves_at_most_one_bid_per_budget(prev):
 
 def test_kernel_refuses_non_monotone_row():
     with pytest.raises(RowNotMonotone, match="from 1 at budget 1 to 0 at budget 2"):
-        _next_row(4, (0, 1, 0, 1, 2))
+        next_row(4, (0, 1, 0, 1, 2))
     assert issubclass(RowNotMonotone, GameError)
 
 
 def test_non_monotone_row_fails_the_cli(capsys, monkeypatch):
-    kernel = _next_row
+    kernel = next_row
     # Row 1 reversed decreases, so computing row 2 must refuse it.
-    monkeypatch.setattr("bcs.solver._next_row", lambda tb, prev: kernel(tb, prev[::-1]))
+    monkeypatch.setattr("bcs.solver.next_row", lambda tb, prev: kernel(tb, prev[::-1]))
     assert main(["limits", "--tb", "4"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -379,13 +379,13 @@ def test_non_monotone_row_fails_the_cli(capsys, monkeypatch):
 
 def test_limit_rows_stops_at_the_first_two_cycle(monkeypatch):
     calls = []
-    kernel = _next_row
+    kernel = next_row
 
     def counted(tb, prev):
         calls.append(tb)
         return kernel(tb, prev)
 
-    monkeypatch.setattr("bcs.solver._next_row", counted)
+    monkeypatch.setattr("bcs.solver.next_row", counted)
     limits = limit_rows(8)
     assert limits.x_star == 11
     assert len(calls) == limits.x_star + 2  # rows 1..k, k = x_star + 2
@@ -393,7 +393,7 @@ def test_limit_rows_stops_at_the_first_two_cycle(monkeypatch):
     calls.clear()
     rows = list(islice(solver.rows(8), 100))  # bounded, should ``rows`` run on
     assert len(rows) == len(calls) == limits.x_star + 2
-    assert rows[-1] != rows[-3] and _next_row(8, rows[-1]) == rows[-2]
+    assert rows[-1] != rows[-3] and next_row(8, rows[-1]) == rows[-2]
     # ``solve`` computes and stores the same rows, and reads the 2-cycle past them.
     calls.clear()
     table = solve(8, 100)
@@ -433,7 +433,7 @@ def test_bid_sets_refuse_non_monotone_rows(prev):
     d = next(p for p in range(tb) if prev[p] > prev[p + 1])
     message = re.escape(f"from {prev[d]} at budget {d} to {prev[d + 1]} at budget {d + 1}")
     with pytest.raises(RowNotMonotone, match=message):
-        _next_row(tb, prev)
+        next_row(tb, prev)
     for p in range(tb + 1):
         with pytest.raises(RowNotMonotone, match=message):
             _marker_left_bids(prev, tb, p)
@@ -455,6 +455,6 @@ def test_periodic_table_reads_the_iterated_rows(case):
     row = (0,) * (tb + 1)
     for x in range(x_max + 1):
         assert table.row(x) == row, x
-        row = _next_row(tb, row)
+        row = next_row(tb, row)
     assert table.x_max == x_max
     assert len(table.rows) == min(x_max + 1, limit_rows(tb).x_star + 2)
