@@ -463,6 +463,42 @@ def test_a_total_budget_that_exhausts_memory_is_one_error_line(command):
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", error)
 
 
+# A command that fills the address space with small objects of every size,
+# then frees room for about two traceback objects and raises.  The objects
+# stay alive, held by the traceback, until ``main`` has left its ``except``
+# clause: an error line made inside the clause fails for want of memory.
+_FILL_MEMORY = """
+import sys
+import bcs.cli
+
+def fill(args):
+    spare = [bytes(24) for _ in range(4)]
+    held = None
+    for size in range(512, 1, -8):
+        try:
+            while True:
+                held = [held, bytes(size)]
+        except MemoryError:
+            pass
+    del spare
+    raise MemoryError
+
+bcs.cli.cmd_limits = fill
+sys.exit(bcs.cli.main(["limits", "--tb", "5"]))
+"""
+
+
+@_RLIMIT_AS
+@_BUFFERING
+def test_memory_full_of_small_objects_is_freed_before_the_error_line(unbuffered):
+    proc = subprocess.run(
+        [sys.executable, "-c", _FILL_MEMORY], capture_output=True, text=True, timeout=60,
+        env=_env(unbuffered), preexec_fn=lambda: _cap_address_space(128 << 20),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: out of memory at total budget 5\n")
+
+
 @_RLIMIT_AS
 def test_a_bid_graph_larger_than_the_address_space_is_written_as_it_is_made(tmp_path):
     # Held whole, the tb-10^6 graph ran out of memory under a 128 MB cap.

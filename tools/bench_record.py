@@ -12,10 +12,11 @@ It reads ``CHECKOUT/.bcsbench_out/<workload>-seed<S>-trace0/result.json``
 and writes ``BENCH_<short commit>.json``: the commit, Python version,
 ``nproc`` and ``src/`` line count the runs report, and for each gated
 metric of ``BENCHMARK.json`` (and ``fail_ratio``) its median and quartiles
-over the seeds.  With ``--layers``, it also reads the ``--trace 1`` results
-of the same seeds and records the median of each named per-layer metric.
-It refuses results from more than one commit, from another ``--seconds``
-or from a run that was not correct.  Standard library only.
+over seeds 1-6.  If the checkout also holds ``--trace 1`` results, it
+reads those of the same seeds and records the median of each per-layer
+metric in ``LAYERS``.  It refuses results from more than one commit, from
+another ``--seconds``, from a run that was not correct, or a ``--trace 1``
+set with a seed missing.  Standard library only.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from pathlib import Path
 
 SCHEMA_VERSION = 1
 WORKLOADS = ("limits", "verify")
+SEEDS = range(1, 7)
 LAYERS = (
     "solver.limit_rows.busy_s",
     "solver.solve.busy_s",
@@ -35,18 +37,14 @@ LAYERS = (
 )
 
 
-def seed_range(text: str) -> list[int]:
-    """``"1-6"`` or ``"1,3,5"`` as a list of seeds."""
-    if "-" in text:
-        first, last = map(int, text.split("-"))
-        return list(range(first, last + 1))
-    return [int(s) for s in text.split(",")]
+def result_path(checkout: Path, workload: str, seed: int, trace: int) -> Path:
+    return checkout / ".bcsbench_out" / f"{workload}-seed{seed}-trace{trace}" / "result.json"
 
 
-def load_runs(checkout: Path, workload: str, seeds: list[int], trace: int) -> list[dict]:
+def load_runs(checkout: Path, workload: str, trace: int) -> list[dict]:
     runs = []
-    for seed in seeds:
-        path = checkout / ".bcsbench_out" / f"{workload}-seed{seed}-trace{trace}" / "result.json"
+    for seed in SEEDS:
+        path = result_path(checkout, workload, seed, trace)
         run = json.loads(path.read_text(encoding="utf-8"))
         if not run["correct"]:
             raise ValueError(f"{path} is not a correct run: {run['failures']}")
@@ -68,10 +66,10 @@ def single(runs: list[dict], key: str):
     return values.pop()
 
 
-def record(checkout: Path, seeds: list[int], layers: tuple[str, ...]) -> dict:
+def record(checkout: Path) -> dict:
     bench = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
     gated = [m["name"] for m in bench["end_to_end"]] + ["fail_ratio"]
-    runs = {w: load_runs(checkout, w, seeds, 0) for w in WORKLOADS}
+    runs = {w: load_runs(checkout, w, 0) for w in WORKLOADS}
     every = [run for w in WORKLOADS for run in runs[w]]
     out = {
         "schema_version": SCHEMA_VERSION,
@@ -79,7 +77,7 @@ def record(checkout: Path, seeds: list[int], layers: tuple[str, ...]) -> dict:
         "python": single(every, "python"),
         "nproc": single(every, "nproc"),
         "src_lines": single(every, "src_lines"),
-        "seeds": seeds,
+        "seeds": list(SEEDS),
         "command": f"python3 bcsbench/run.py --workload W --seed S "
                    f"--seconds {single(every, 'seconds'):g} --trace 0",
         "workloads": {
@@ -91,8 +89,8 @@ def record(checkout: Path, seeds: list[int], layers: tuple[str, ...]) -> dict:
             for w in WORKLOADS
         },
     }
-    if layers:
-        traced = {w: load_runs(checkout, w, seeds, 1) for w in WORKLOADS}
+    if any(result_path(checkout, w, s, 1).exists() for w in WORKLOADS for s in SEEDS):
+        traced = {w: load_runs(checkout, w, 1) for w in WORKLOADS}
         every = [run for w in WORKLOADS for run in traced[w]]
         if single(every, "commit") != out["commit"]:
             raise ValueError("the --trace 1 runs are of another commit")
@@ -103,7 +101,7 @@ def record(checkout: Path, seeds: list[int], layers: tuple[str, ...]) -> dict:
                 w: {
                     m: {"median": statistics.median(run["metrics"][m]["value"] for run in traced[w]),
                         "unit": traced[w][0]["metrics"][m]["unit"]}
-                    for m in layers
+                    for m in LAYERS
                 }
                 for w in WORKLOADS
             },
@@ -114,12 +112,9 @@ def record(checkout: Path, seeds: list[int], layers: tuple[str, ...]) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", type=Path, help="the checkout the benchmark ran in")
-    parser.add_argument("--seeds", type=seed_range, default=seed_range("1-6"))
-    parser.add_argument("--layers", action="store_true",
-                        help=f"add the --trace 1 medians of {', '.join(LAYERS)}")
     parser.add_argument("--out-dir", type=Path, default=Path("."))
     args = parser.parse_args(argv)
-    data = record(args.checkout, args.seeds, LAYERS if args.layers else ())
+    data = record(args.checkout)
     path = args.out_dir / f"BENCH_{data['commit'][:7]}.json"
     path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
     print(path)
