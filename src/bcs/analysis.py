@@ -13,7 +13,7 @@ from itertools import accumulate, chain
 from typing import Callable, Iterable, NamedTuple
 
 from . import oracle
-from .core import OutcomeTable, Side, zero_row
+from .core import OutcomeTable, Side, heaps
 from .solver import first_fall, solve
 
 
@@ -166,12 +166,9 @@ def run_invariant_suite(tb: int, x_max: int, rows: Iterable[Row]) -> list[Invari
     runs up to that failure.  Past the rows the last two repeat in turn, so
     the pass stops at ``len(rows) + 1``: a later heap would show each check
     what the heap two before showed."""
-    zero_row(tb)  # refuses a bad tb ahead of a bad x_max, as solve does
-    if x_max < 0:
-        raise ValueError(f"x_max must be >= 0, got {x_max}")
     found: dict[str, Counterexample] = {}
     prev = older = None
-    for x, row in zip(range(x_max + 1), chain(rows, (None, None))):
+    for x, row in zip(heaps(tb, x_max), chain(rows, (None, None))):
         row = older if row is None else row  # past the rows: the row two before
         for name, check in _INVARIANTS:
             if name not in found and (cex := check(x, row, prev, older)) is not None:

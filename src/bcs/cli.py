@@ -489,7 +489,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     at = "" if args.tb is None else f" at total budget {args.tb}"
     print(f"error: out of memory{at}", file=sys.stderr)
     return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

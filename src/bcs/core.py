@@ -14,7 +14,10 @@ the total budget, Right's share is always derived.
 from __future__ import annotations
 
 import enum
+import sys
 from typing import Iterator, NamedTuple
+
+_TOO_LARGE = "total budget {} is too large to hold a row"
 
 
 class GameError(Exception):
@@ -78,15 +81,29 @@ class BidWinner(enum.Enum):
         return self in (BidWinner.LEFT_TIE, BidWinner.RIGHT_TIE)
 
 
-def zero_row(tb: int) -> tuple[int, ...]:
-    """``tb + 1`` zeros: row 0 of every table, and the one refusal of a bad
-    ``tb``: a negative one, or one too large for the zeros."""
+def _budgets(tb: int) -> range:
+    """Left's budgets ``0..tb``; refuses a negative ``tb`` or an uncountable ``tb + 1``."""
     if tb < 0:
         raise BudgetOutOfRange(f"total budget must be >= 0, got {tb}")
+    if tb >= sys.maxsize:
+        raise BudgetOutOfRange(_TOO_LARGE.format(tb))
+    return range(tb + 1)
+
+
+def zero_row(tb: int) -> tuple[int, ...]:
+    """``tb + 1`` zeros, row 0 of every table; refuses as :func:`_budgets` does, or too many."""
     try:
-        return (0,) * (tb + 1)
-    except (MemoryError, OverflowError):
-        raise BudgetOutOfRange(f"total budget {tb} is too large to hold a row") from None
+        return (0,) * len(_budgets(tb))
+    except MemoryError:
+        raise BudgetOutOfRange(_TOO_LARGE.format(tb)) from None
+
+
+def heaps(tb: int, x_max: int) -> range:
+    """Heaps ``0..x_max``, refusing a bad ``tb`` by :func:`zero_row`, then a negative ``x_max``."""
+    zero_row(tb)
+    if x_max < 0:
+        raise ValueError(f"x_max must be >= 0, got {x_max}")
+    return range(x_max + 1)
 
 
 def convergence_bound(tb: int) -> int:
@@ -141,9 +158,7 @@ class RichmanPosition(_PositionFields):
         return self.marker is Side.LEFT
 
 
-def make_position(tb: int, heap: int, left_budget: int, marker: Side) -> RichmanPosition:
-    """Build a validated position for total budget ``tb``."""
-    return RichmanPosition(tb=tb, heap=heap, left_budget=left_budget, marker=marker)
+make_position = RichmanPosition
 
 
 class BidPair(NamedTuple):
@@ -167,7 +182,7 @@ def classify_bid(
     The winner pays their bid to the loser and removes one pebble, so the
     successor is at ``heap - 1``; the marker changes hands exactly when the
     resolution was a tie.  An empty heap raises :class:`GameAlreadyOver`.
-    """
+    A valid position and feasible bids make a valid successor: not checked again."""
     if pos.heap < 1:
         raise GameAlreadyOver("no bidding on an empty heap")
     if left_bid < 0 or left_bid > pos.left_budget:
@@ -195,10 +210,7 @@ def classify_bid(
     new_marker = pos.marker.opponent if winner.is_tie else pos.marker
 
     bid = BidPair(left_bid=left_bid, right_bid=right_bid, winner=winner)
-    successor = RichmanPosition(
-        tb=pos.tb, heap=pos.heap - 1, left_budget=new_left, marker=new_marker
-    )
-    return bid, successor
+    return bid, pos._replace(heap=pos.heap - 1, left_budget=new_left, marker=new_marker)
 
 
 BID_KINDS = ("holder-win", "opponent-win", "tie")
@@ -222,12 +234,11 @@ def bid_graph(tb: int, kind: str, bid: int) -> Iterator[BidEdge]:
     already beats every feasible counter-bid.  The edges come lazily, in
     ascending source; a bad ``tb``, kind or bid is refused by the call.
     """
-    zero_row(tb)  # refuses a bad tb
+    holders = _budgets(tb)
     if kind not in BID_KINDS:
         raise ValueError(f"bid graph kind must be one of {', '.join(BID_KINDS)}, got {kind!r}")
     if not 0 <= bid <= tb:
         raise ValueError(f"bid {bid} outside 0..{tb}")
-    holders = range(tb + 1)
     if kind == "tie":
         return (BidEdge(m, tb - m + bid, False) for m in holders if bid <= min(m, tb - m))
     if kind == "holder-win":

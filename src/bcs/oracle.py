@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import NamedTuple
 
-from .core import RichmanPosition, Side, classify_bid, zero_row
+from .core import RichmanPosition, Side, classify_bid, heaps, zero_row
 
 # ``layer[left_marker][p]``: the score with Left holding ``p`` dollars, for
 # a marker-Right holder at index 0 (False) and marker-Left at 1 (True).
@@ -63,9 +63,7 @@ def oracle_table(tb: int, x_max: int) -> tuple[Layer, ...]:
     Left holding ``p`` dollars; see :data:`Layer`.
     """
     table = [(zero_row(tb),) * 2]
-    if x_max < 0:
-        raise ValueError(f"x_max must be >= 0, got {x_max}")
-    for _ in range(x_max):
+    for _ in heaps(tb, x_max)[1:]:
         prev = table[-1]
         lows = tuple(tuple(accumulate(reversed(row), min))[::-1] for row in prev)
         table.append(tuple(

@@ -42,6 +42,7 @@ from .core import (
     OutcomeTable,
     RichmanPosition,
     convergence_bound,
+    heaps,
     zero_row,
 )
 
@@ -136,10 +137,7 @@ def solve(tb: int, x_max: int) -> OutcomeTable:
 
     The table stores the rows up to the first 2-cycle, at most
     ``x_star + 2`` of them, and reads later heaps by parity."""
-    zero_row(tb)  # refuses a bad tb
-    if x_max < 0:
-        raise ValueError(f"x_max must be >= 0, got {x_max}")
-    return OutcomeTable(tb, tuple(row for _, row in zip(range(x_max + 1), rows(tb))), x_max)
+    return OutcomeTable(tb, tuple(row for _, row in zip(heaps(tb, x_max), rows(tb))), x_max)
 
 
 def value(table: OutcomeTable, pos: RichmanPosition) -> int:

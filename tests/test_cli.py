@@ -820,6 +820,8 @@ def test_check_from_json_rejects_malformed_table(tmp_path, capsys, text):
         "automaton --tb -1",
         "conjecture --tb -1",
         "check --tb -1",
+        "check --tb 3 --x-max -1",
+        "check --tb 3 --x-max -1 --with-oracle",
         "bids --tb 3 --kind tie --bid 9",
         "bids --tb -1 --kind tie --bid 0",
         "play --tb 3 --x 2 --p 9 --marker L --engine-side L",
@@ -857,6 +859,8 @@ def test_out_of_range_arguments_exit_usage(tmp_path, capsys, command):
     assert err.startswith("error: ") and err.count("\n") == 1
     if "--x -1" in command:
         assert "heap" in err
+    if "--tb 3 --x-max -1" in command:
+        assert err == "error: x_max must be >= 0, got -1\n"
     if "--tb -" in command:
         assert "total budget" in err
     if re.search(r"--tb \d{19}", command):

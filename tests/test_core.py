@@ -1,4 +1,5 @@
 import pickle
+import sys
 import tracemalloc
 
 import pytest
@@ -27,6 +28,7 @@ from goldens import ZUGZWANG_RULESET, make_unitary_ruleset
 
 
 def test_make_position_examples():
+    assert make_position is RichmanPosition  # one constructor, one check
     pos = make_position(5, 2, 1, Side.LEFT)
     assert (pos.heap, pos.left_budget, pos.right_budget) == (2, 1, 4)
     assert pos.left_holds_marker
@@ -279,7 +281,7 @@ _BUDGET_ENTRY_POINTS = {
     ),
     "automaton_fixed_point": (automaton.automaton_fixed_point, True),
     "convergence_bound": (convergence_bound, False),
-    "bid_graph": (lambda tb: bid_graph(tb, "tie", 0), True),
+    "bid_graph": (lambda tb: bid_graph(tb, "tie", 0), False),
     "GeneralRuleset": (
         lambda tb: general.GeneralRuleset(
             positions=("a",), left_edges={}, right_edges={}, penalties={},
@@ -304,10 +306,42 @@ def test_every_entry_point_that_builds_a_row_refuses_a_total_budget_too_large_fo
         build(2**61)
 
 
-def test_a_too_large_total_budget_is_refused_before_a_bad_heap_count():
-    for build in (solver.solve, oracle.oracle_table):
-        with pytest.raises(BudgetOutOfRange, match="too large to hold a row"):
-            build(2**61, -1)
+# Every table builder refuses through ``core.heaps``: a bad ``tb`` first,
+# then a negative ``x_max``.
+_TABLE_BUILDERS = {
+    "solve": solver.solve,
+    "run_invariant_suite": lambda tb, x_max: analysis.run_invariant_suite(tb, x_max, ()),
+    "oracle_table": oracle.oracle_table,
+}
+
+
+@pytest.mark.parametrize("name", _TABLE_BUILDERS)
+def test_every_table_builder_refuses_a_bad_total_budget_then_a_negative_x_max(name):
+    build = _TABLE_BUILDERS[name]
+    with pytest.raises(BudgetOutOfRange, match=rf"^total budget {2**61} is too large to hold a row$"):
+        build(2**61, -1)
+    with pytest.raises(ValueError, match=r"^x_max must be >= 0, got -1$"):
+        build(3, -1)
+
+
+def test_bid_graph_refuses_only_a_total_budget_python_cannot_count():
+    # It builds no row, so a ``tb`` too large for one streams all the same.
+    assert next(bid_graph(2**61, "tie", 0)) == (0, 2**61, False)
+    with pytest.raises(BudgetOutOfRange, match=rf"^total budget {sys.maxsize} is too large to hold a row$"):
+        bid_graph(sys.maxsize, "tie", 0)
+    assert next(bid_graph(sys.maxsize - 1, "tie", 0)) == (0, sys.maxsize - 1, False)
+
+
+def test_bid_graph_builds_no_row_before_its_first_edge():
+    # Its refusal of a bad ``tb`` builds nothing: a row of tb 10**7 zeros
+    # would take 80 MB.
+    tracemalloc.start()
+    try:
+        assert next(bid_graph(10**7, "tie", 0)) == (0, 10**7, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _one_of_each_record():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import re
 from itertools import islice
 
@@ -231,6 +233,20 @@ def test_limit_rows_settle_at_the_same_heap_for_tb_2k_minus_1_and_2k():
     # a finding to record, not a check to weaken.
     for k in range(1, 41):
         assert limit_rows(2 * k).x_star == limit_rows(2 * k - 1).x_star, k
+
+
+def test_limit_rows_for_tb_0_to_128_keep_their_recorded_digest():
+    """A fixed record of the limit regime, for any change to the row kernel.
+
+    Hashed: for each tb in 0..128, in order, the UTF-8 bytes of
+    ``json.dumps([tb, x_star, even_row, odd_row], separators=(",", ":"))``
+    followed by a newline, the rows as JSON arrays of integers."""
+    digest = hashlib.sha256()
+    for tb in range(129):
+        limits = limit_rows(tb)
+        record = [tb, limits.x_star, limits.even_row, limits.odd_row]
+        digest.update(json.dumps(record, separators=(",", ":")).encode() + b"\n")
+    assert digest.hexdigest() == "f57517063a64c7c99b4eaf530348c961278f0f63f839357913dfedf994058bcb"
 
 
 def test_limit_rows_stability_from_x_star():
