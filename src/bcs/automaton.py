@@ -77,13 +77,10 @@ def automaton_fixed_point(tb: int) -> Rows:
     other state always comes from the update rule.
     """
     zero_row(tb)  # refuses a bad tb
-    if tb % 2 == 0:
-        even = tuple(alpha_even(2 * p - tb) for p in range(tb + 1))
-        odd = tuple(1 - even[tb - p] for p in range(tb + 1))
-    else:
-        odd = tuple(beta(2 * p - tb) for p in range(tb + 1))
-        even = tuple(1 - odd[tb - p] for p in range(tb + 1))
-    return even, odd
+    closed_form = beta if tb % 2 else alpha_even
+    row = tuple(closed_form(2 * p - tb) for p in range(tb + 1))
+    image = tuple(1 - v for v in reversed(row))  # ``1 - row[tb - p]`` at each ``p``
+    return (image, row) if tb % 2 else (row, image)
 
 
 def closed_form_name(tb: int) -> str:

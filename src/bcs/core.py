@@ -81,11 +81,16 @@ class BidWinner(enum.Enum):
         return self in (BidWinner.LEFT_TIE, BidWinner.RIGHT_TIE)
 
 
-def _budgets(tb: int) -> range:
-    """Left's budgets ``0..tb``; refuses a negative ``tb`` or an uncountable ``tb + 1``."""
+def require_budget(tb: int) -> int:
+    """``tb``, after the one refusal of a negative total budget (:class:`BudgetOutOfRange`)."""
     if tb < 0:
         raise BudgetOutOfRange(f"total budget must be >= 0, got {tb}")
-    if tb >= sys.maxsize:
+    return tb
+
+
+def _budgets(tb: int) -> range:
+    """Left's budgets ``0..tb``; refuses a negative ``tb`` or an uncountable ``tb + 1``."""
+    if require_budget(tb) >= sys.maxsize:
         raise BudgetOutOfRange(_TOO_LARGE.format(tb))
     return range(tb + 1)
 
@@ -113,9 +118,7 @@ def convergence_bound(tb: int) -> int:
     ``1 + ceil(tb/2)**2 - floor(tb/2)`` for odd ``tb``; quadratic in the
     total budget either way.
     """
-    if tb < 0:
-        raise BudgetOutOfRange(f"total budget must be >= 0, got {tb}")
-    half = tb // 2
+    half = require_budget(tb) // 2
     if tb % 2 == 0:
         return 1 + (half + 1) * half - half
     return 1 + (half + 1) ** 2 - half
@@ -139,8 +142,7 @@ class RichmanPosition(_PositionFields):
     __slots__ = ()
 
     def __new__(cls, tb: int, heap: int, left_budget: int, marker: Side) -> RichmanPosition:
-        if tb < 0:
-            raise BudgetOutOfRange(f"total budget must be >= 0, got {tb}")
+        require_budget(tb)
         if heap < 0:
             raise HeapNegative(f"heap size must be >= 0, got {heap}")
         if not 0 <= left_budget <= tb:
@@ -148,6 +150,13 @@ class RichmanPosition(_PositionFields):
         if not isinstance(marker, Side):
             raise TypeError(f"marker must be a Side, got {marker!r}")
         return super().__new__(cls, tb, heap, left_budget, marker)
+
+    def for_budget(self, tb: int) -> RichmanPosition:
+        """This position, refused with ``ValueError`` unless its total budget
+        is ``tb``: the one statement that a position is asked about at its own."""
+        if self.tb != tb:
+            raise ValueError(f"position for tb={self.tb}, asked for tb={tb}")
+        return self
 
     @property
     def right_budget(self) -> int:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from graphlib import CycleError, TopologicalSorter
 from typing import Callable, Hashable, Mapping, NamedTuple
 
-from .core import BudgetOutOfRange, GameError, Side
+from .core import GameError, Side, require_budget
 
 Node = Hashable
 # Per node and marker holder, the value at each Left budget; None where
@@ -104,8 +104,7 @@ class GeneralRuleset(_RulesetFields):
         right_edges = {x: dict(ys) for x, ys in right_edges.items()}
         penalties = dict(penalties)
         bid_set = frozenset(bid_set)
-        if tb < 0:
-            raise BudgetOutOfRange(f"total budget must be >= 0, got {tb}")
+        require_budget(tb)
         if not bid_set:
             raise InvalidRuleset("bid set must be non-empty")
         if not all(0 <= b <= tb for b in bid_set):

@@ -75,9 +75,7 @@ def oracle_table(tb: int, x_max: int) -> tuple[Layer, ...]:
 
 def oracle_value(tb: int, pos: RichmanPosition) -> int:
     """Equilibrium score of ``pos`` from the full three-branch recursion."""
-    if pos.tb != tb:
-        raise ValueError(f"position built for tb={pos.tb}, asked for tb={tb}")
-    return oracle_table(tb, pos.heap)[-1][pos.left_holds_marker][pos.left_budget]
+    return oracle_table(tb, pos.for_budget(tb).heap)[-1][pos.left_holds_marker][pos.left_budget]
 
 
 class BidMatrix(NamedTuple):
@@ -113,9 +111,7 @@ def bid_matrix(tb: int, pos: RichmanPosition) -> BidMatrix:
     """Populate the full bid matrix at ``pos``: each entry is the winner's
     point by :func:`bcs.core.classify_bid` (which refuses an empty heap)
     plus the successor's value in the layer below."""
-    if pos.tb != tb:
-        raise ValueError(f"position built for tb={pos.tb}, asked for tb={tb}")
-    below = oracle_table(tb, max(pos.heap - 1, 0))[-1]
+    below = oracle_table(tb, max(pos.for_budget(tb).heap - 1, 0))[-1]
 
     def entry(l: int, r: int) -> int:
         bid, after = classify_bid(pos, l, r)

@@ -143,9 +143,7 @@ def solve(tb: int, x_max: int) -> OutcomeTable:
 def value(table: OutcomeTable, pos: RichmanPosition) -> int:
     """Equilibrium score of ``pos``, flipping the stored row when Right
     holds the marker."""
-    if pos.tb != table.tb:
-        raise ValueError(f"position for tb={pos.tb}, table for tb={table.tb}")
-    row = table.row(pos.heap)
+    row = table.row(pos.for_budget(table.tb).heap)
     if pos.left_holds_marker:
         return row[pos.left_budget]
     return -row[pos.right_budget]
@@ -153,9 +151,7 @@ def value(table: OutcomeTable, pos: RichmanPosition) -> int:
 
 def _row_below(table: OutcomeTable, pos: RichmanPosition) -> tuple[int, ...]:
     """The row of heap ``pos.heap - 1``, which every bid at ``pos`` reads."""
-    if pos.tb != table.tb:
-        raise ValueError(f"position for tb={pos.tb}, table for tb={table.tb}")
-    if pos.heap < 1:
+    if pos.for_budget(table.tb).heap < 1:
         raise GameAlreadyOver("no bidding on an empty heap")
     return table.row(pos.heap - 1)
 

@@ -152,9 +152,9 @@ def test_oracle_reaches_the_limit_regime():
 
 def test_oracle_rejects_a_position_for_another_budget():
     pos = make_position(3, 2, 1, Side.LEFT)
-    with pytest.raises(ValueError, match="position built for tb=3, asked for tb=4"):
+    with pytest.raises(ValueError, match="^position for tb=3, asked for tb=4$"):
         oracle_value(4, pos)
-    with pytest.raises(ValueError, match="position built for tb=3, asked for tb=2"):
+    with pytest.raises(ValueError, match="^position for tb=3, asked for tb=2$"):
         bid_matrix(2, pos)
 
 

@@ -1,7 +1,7 @@
 import hashlib
 import json
 import re
-from itertools import islice
+from itertools import combinations_with_replacement, islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -161,7 +161,7 @@ def test_no_bidding_on_an_empty_heap():
 def test_a_position_for_another_budget_is_refused(tb):
     # at tb 6 the row below would read a value of the tb 5 game; at tb 9 it
     # would index past the row's end
-    table, message = solve(5, 3), f"position for tb={tb}, table for tb=5"
+    table, message = solve(5, 3), f"^position for tb={tb}, asked for tb=5$"
     for marker in (Side.LEFT, Side.RIGHT):
         pos = make_position(tb, 2, 3, marker)
         for query in (value, equilibrium_bids):
@@ -255,6 +255,22 @@ def test_limit_rows_stability_from_x_star():
         table = solve(tb, limits.x_star + 6)
         for x in range(limits.x_star, limits.x_star + 5):
             assert table.row(x) == table.row(x + 2)
+
+
+@pytest.mark.parametrize("tb", range(13))
+def test_the_limit_pair_is_the_only_2_cycle_at_small_total_budgets(tb):
+    """Among the nondecreasing rows (property A) of even values (the parity
+    law) within the ``bounded_outcome`` range, the even limit row is the
+    only row ``r`` with ``next_row(next_row(r)) == r``.  An exhaustive
+    observation within that space for tb 0..12, not a theorem: 27,132
+    rows at tb 12, 54,525 in all."""
+    top = (tb + 1) // 2
+    evens = range(-top + top % 2, top + 2, 2)  # the even values in [-top, top + 1]
+    cycles = [
+        r for r in combinations_with_replacement(evens, tb + 1)
+        if next_row(tb, next_row(tb, r)) == r
+    ]
+    assert cycles == [limit_rows(tb).even_row]
 
 
 def test_parity_of_every_cell():
