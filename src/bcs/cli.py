@@ -8,11 +8,11 @@ running out of memory, 3 when convergence is not reached by its bound,
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from itertools import chain
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
 from . import analysis, automaton, general, solver
@@ -169,7 +169,7 @@ def load_outcome_table_json(data: dict) -> OutcomeTable:
     return OutcomeTable(tb=tb, rows=tuple(rows))
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def cmd_solve(args: SimpleNamespace) -> int:
     table = solver.solve(args.tb, args.x_max)
     _emit(_table_chunks(table, args.format), args.out)
     return EXIT_OK
@@ -191,7 +191,7 @@ def _limit_fields(tb: int) -> tuple[dict, str]:
     return fields, header
 
 
-def cmd_limits(args: argparse.Namespace) -> int:
+def cmd_limits(args: SimpleNamespace) -> int:
     fields, header = _limit_fields(args.tb)
     if args.format == "json":
         _emit(_json(fields), args.out)
@@ -222,7 +222,7 @@ def _read_text(path: str) -> str:
             raise ValueError(f"{path} is not UTF-8: {exc}") from None
 
 
-def _check_ruleset(args: argparse.Namespace) -> int:
+def _check_ruleset(args: SimpleNamespace) -> int:
     ruleset = general.parse_ruleset(_read_text(args.ruleset))
     violations = general.check_property_U(ruleset)
     if args.format == "json":
@@ -253,7 +253,7 @@ def _check_ruleset(args: argparse.Namespace) -> int:
     return EXIT_CHECK_FAILED if violations else EXIT_OK
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: SimpleNamespace) -> int:
     sources = (args.tb, args.ruleset, args.from_json)
     if sum(source is not None for source in sources) != 1:
         raise ValueError("check needs exactly one of --tb, --ruleset and --from-json")
@@ -288,7 +288,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 
 
-def cmd_automaton(args: argparse.Namespace) -> int:
+def cmd_automaton(args: SimpleNamespace) -> int:
     tb = args.tb
     bound = convergence_bound(tb)
     name = automaton.closed_form_name(tb)
@@ -306,7 +306,7 @@ def cmd_automaton(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_conjecture(args: argparse.Namespace) -> int:
+def cmd_conjecture(args: SimpleNamespace) -> int:
     fields, header = _limit_fields(args.tb)
     report = automaton.conjecture_report((fields["even"], fields["odd"]))
     name = automaton.closed_form_name(args.tb)
@@ -329,7 +329,7 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
     return EXIT_OK if report.update_rule_holds else EXIT_CHECK_FAILED
 
 
-def cmd_bids(args: argparse.Namespace) -> int:
+def cmd_bids(args: SimpleNamespace) -> int:
     tb, bid = args.tb, args.bid
     edges = (e for e in bid_graph(tb, args.kind, bid) if not (args.reduced and e.dominated))
     label = f"{bid}{'T' if args.kind == 'tie' else 'W'}"
@@ -348,7 +348,7 @@ def cmd_bids(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_play(args: argparse.Namespace) -> int:
+def cmd_play(args: SimpleNamespace) -> int:
     engine_side = Side(args.engine_side)
     human_side = engine_side.opponent
     pos = make_position(args.tb, args.x, args.p, Side(args.marker))
@@ -396,13 +396,51 @@ def cmd_play(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _output_args(parser: argparse.ArgumentParser, *formats: str) -> None:
-    """Add ``--format`` (the first of ``formats`` is the default) and ``--out``."""
-    parser.add_argument("--format", choices=formats, default=formats[0])
-    parser.add_argument("--out", default=None)
+def _output(*formats: str) -> tuple:
+    """``--format``, whose default is the first of ``formats``, and ``--out``."""
+    return ("--format", formats, formats[0], None), ("--out", str, None, None)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_REQUIRED = object()  # the default of an option that must be given
+_TB = ("--tb", int, _REQUIRED, None)
+
+
+def _commands() -> dict:
+    """Every command: its handler, its help and its options, in the order
+    ``--help`` lists them.  An option is ``(flag, kind, default, help)``:
+    ``kind`` is ``int``, ``str``, a tuple of choices, or ``bool`` for a
+    switch that takes no value.  Built at each call, so that each handler
+    is the one bound when ``main`` runs."""
+    return {
+        "solve": (cmd_solve, "solve a value table",
+                  (_TB, ("--x-max", int, _REQUIRED, None), *_output("table", "csv", "json"))),
+        "limits": (cmd_limits, "stabilized per-parity rows", (_TB, *_output("table", "json"))),
+        "check": (cmd_check, "run invariant or ruleset checks", (
+            ("--tb", int, None, None), ("--x-max", int, None, None),
+            ("--with-oracle", bool, False, None), ("--ruleset", str, None, "check a ruleset file"),
+            ("--from-json", str, None, "check a solved table"), *_output("text", "json"),
+        )),
+        "automaton": (cmd_automaton, "zero-bid automaton tables",
+                      (_TB, *_output("table", "json"))),
+        "conjecture": (cmd_conjecture, "limit rows vs automaton entries",
+                       (_TB, *_output("text", "json"))),
+        "bids": (cmd_bids, "export a bid graph", (
+            _TB, ("--kind", BID_KINDS, _REQUIRED, None), ("--bid", int, _REQUIRED, None),
+            ("--reduced", bool, False, None), *_output("dot", "json"),
+        )),
+        "play": (cmd_play, "play against the engine", (
+            _TB, ("--x", int, _REQUIRED, None), ("--p", int, _REQUIRED, "Left's dollars"),
+            ("--marker", ("L", "R"), _REQUIRED, None),
+            ("--engine-side", ("L", "R"), _REQUIRED, None),
+        )),
+    }
+
+
+def build_parser():
+    """The ``argparse.ArgumentParser`` of ``_commands()``, which ``main``
+    builds only for help and for a command line ``_parse`` declines."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="bcs",
         description=(
@@ -412,58 +450,58 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="solve a value table")
-    p_solve.add_argument("--tb", type=int, required=True)
-    p_solve.add_argument("--x-max", type=int, required=True)
-    _output_args(p_solve, "table", "csv", "json")
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_limits = sub.add_parser("limits", help="stabilized per-parity rows")
-    p_limits.add_argument("--tb", type=int, required=True)
-    _output_args(p_limits, "table", "json")
-    p_limits.set_defaults(func=cmd_limits)
-
-    p_check = sub.add_parser("check", help="run invariant or ruleset checks")
-    p_check.add_argument("--tb", type=int, default=None)
-    p_check.add_argument("--x-max", type=int, default=None)
-    p_check.add_argument("--with-oracle", action="store_true")
-    p_check.add_argument("--ruleset", default=None, help="check a ruleset file")
-    p_check.add_argument("--from-json", default=None, help="check a solved table")
-    _output_args(p_check, "text", "json")
-    p_check.set_defaults(func=cmd_check)
-
-    p_auto = sub.add_parser("automaton", help="zero-bid automaton tables")
-    p_auto.add_argument("--tb", type=int, required=True)
-    _output_args(p_auto, "table", "json")
-    p_auto.set_defaults(func=cmd_automaton)
-
-    p_conj = sub.add_parser("conjecture", help="limit rows vs automaton entries")
-    p_conj.add_argument("--tb", type=int, required=True)
-    _output_args(p_conj, "text", "json")
-    p_conj.set_defaults(func=cmd_conjecture)
-
-    p_bids = sub.add_parser("bids", help="export a bid graph")
-    p_bids.add_argument("--tb", type=int, required=True)
-    p_bids.add_argument("--kind", choices=BID_KINDS, required=True)
-    p_bids.add_argument("--bid", type=int, required=True)
-    p_bids.add_argument("--reduced", action="store_true")
-    _output_args(p_bids, "dot", "json")
-    p_bids.set_defaults(func=cmd_bids)
-
-    p_play = sub.add_parser("play", help="play against the engine")
-    p_play.add_argument("--tb", type=int, required=True)
-    p_play.add_argument("--x", type=int, required=True)
-    p_play.add_argument("--p", type=int, required=True, help="Left's dollars")
-    p_play.add_argument("--marker", choices=("L", "R"), required=True)
-    p_play.add_argument("--engine-side", choices=("L", "R"), required=True)
-    p_play.set_defaults(func=cmd_play)
-
+    for command, (handler, summary, options) in _commands().items():
+        p_command = sub.add_parser(command, help=summary)
+        for flag, kind, default, text in options:
+            if kind is bool:
+                p_command.add_argument(flag, action="store_true", help=text)
+                continue
+            choices = kind if isinstance(kind, tuple) else None
+            required = default is _REQUIRED
+            p_command.add_argument(
+                flag, type=None if choices else kind, choices=choices, required=required,
+                default=None if required else default, help=text,
+            )
+        p_command.set_defaults(func=handler)
     return parser
 
 
+def _parse(argv: Sequence[str]) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` returns, read without
+    argparse from ``COMMAND (--switch | --option VALUE)*``: the last of a
+    repeated option wins.  ``None`` for anything else: no command, help, an
+    abbreviated or ``--option=VALUE`` flag, a value that starts with ``-``,
+    a bad value, a missing required option or an extra token."""
+    command = _commands().get(argv[0]) if argv else None
+    if command is None:
+        return None
+    handler, _, options = command
+    kinds = {flag: kind for flag, kind, _, _ in options}
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        kind = kinds.get(flag)
+        if kind is bool:
+            given[flag] = True
+            continue
+        value = next(tokens, "-")  # a missing value is declined as "-" is
+        if kind is None or value.startswith("-") or isinstance(kind, tuple) and value not in kind:
+            return None
+        try:
+            given[flag] = int(value) if kind is int else value
+        except ValueError:
+            return None
+    args = SimpleNamespace(command=argv[0], func=handler)
+    for flag, _, default, _ in options:
+        if default is _REQUIRED and flag not in given:
+            return None
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    return args
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse(argv) or build_parser().parse_args(argv, SimpleNamespace())
     try:
         code = args.func(args)
         sys.stdout.flush()  # a failed write surfaces here, not at exit

@@ -4,8 +4,19 @@ Rows are indexed by Left's budget ascending (p = 0..tb); published tables
 list budgets the other way around, so mirror before comparing with them.
 """
 
+import argparse
+
 from bcs.automaton import iota
-from bcs.core import Side
+from bcs.cli import (
+    cmd_automaton,
+    cmd_bids,
+    cmd_check,
+    cmd_conjecture,
+    cmd_limits,
+    cmd_play,
+    cmd_solve,
+)
+from bcs.core import BID_KINDS, Side
 from bcs.general import GeneralRuleset
 
 # Total budget 5, heap sizes 0..2.  Contains the worked one-dollar-tie cell
@@ -117,3 +128,72 @@ edge R x1 x2 1
 tb 1
 bids all
 """
+
+
+# ``bcs``'s argparse tree as it was written by hand, before ``bcs.cli``
+# built it from its command table: the reference that the built parser's
+# help and usage, and the direct parse's namespaces, are compared with.
+def _output_args(parser: argparse.ArgumentParser, *formats: str) -> None:
+    """Add ``--format`` (the first of ``formats`` is the default) and ``--out``."""
+    parser.add_argument("--format", choices=formats, default=formats[0])
+    parser.add_argument("--out", default=None)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="bcs",
+        description=(
+            "Exact equilibrium tables, limit rows, invariant checks, bid "
+            "graphs, and interactive play for discrete-bid Richman games on "
+            "pebble heaps."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_solve = sub.add_parser("solve", help="solve a value table")
+    p_solve.add_argument("--tb", type=int, required=True)
+    p_solve.add_argument("--x-max", type=int, required=True)
+    _output_args(p_solve, "table", "csv", "json")
+    p_solve.set_defaults(func=cmd_solve)
+
+    p_limits = sub.add_parser("limits", help="stabilized per-parity rows")
+    p_limits.add_argument("--tb", type=int, required=True)
+    _output_args(p_limits, "table", "json")
+    p_limits.set_defaults(func=cmd_limits)
+
+    p_check = sub.add_parser("check", help="run invariant or ruleset checks")
+    p_check.add_argument("--tb", type=int, default=None)
+    p_check.add_argument("--x-max", type=int, default=None)
+    p_check.add_argument("--with-oracle", action="store_true")
+    p_check.add_argument("--ruleset", default=None, help="check a ruleset file")
+    p_check.add_argument("--from-json", default=None, help="check a solved table")
+    _output_args(p_check, "text", "json")
+    p_check.set_defaults(func=cmd_check)
+
+    p_auto = sub.add_parser("automaton", help="zero-bid automaton tables")
+    p_auto.add_argument("--tb", type=int, required=True)
+    _output_args(p_auto, "table", "json")
+    p_auto.set_defaults(func=cmd_automaton)
+
+    p_conj = sub.add_parser("conjecture", help="limit rows vs automaton entries")
+    p_conj.add_argument("--tb", type=int, required=True)
+    _output_args(p_conj, "text", "json")
+    p_conj.set_defaults(func=cmd_conjecture)
+
+    p_bids = sub.add_parser("bids", help="export a bid graph")
+    p_bids.add_argument("--tb", type=int, required=True)
+    p_bids.add_argument("--kind", choices=BID_KINDS, required=True)
+    p_bids.add_argument("--bid", type=int, required=True)
+    p_bids.add_argument("--reduced", action="store_true")
+    _output_args(p_bids, "dot", "json")
+    p_bids.set_defaults(func=cmd_bids)
+
+    p_play = sub.add_parser("play", help="play against the engine")
+    p_play.add_argument("--tb", type=int, required=True)
+    p_play.add_argument("--x", type=int, required=True)
+    p_play.add_argument("--p", type=int, required=True, help="Left's dollars")
+    p_play.add_argument("--marker", choices=("L", "R"), required=True)
+    p_play.add_argument("--engine-side", choices=("L", "R"), required=True)
+    p_play.set_defaults(func=cmd_play)
+
+    return parser

@@ -7,7 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest.mock import patch
 
@@ -17,15 +17,16 @@ except ImportError:  # not on every platform
     resource = None
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import bcs
 from bcs import solver
 from bcs.automaton import automaton_fixed_point
-from bcs.cli import load_outcome_table_json, main
+from bcs.cli import _parse, build_parser, load_outcome_table_json, main
 from bcs.core import BID_KINDS, OutcomeTable, bid_graph, convergence_bound
 
 from goldens import TB5_ROWS, TB8_EVEN_LIMIT, TB8_ODD_LIMIT, ZUGZWANG_RULESET
+from goldens import build_parser as reference_parser
 
 
 def run_cli(capsys, *argv):
@@ -308,6 +309,130 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--tb", "5"])  # missing --x-max
     assert exc.value.code == 2
+
+
+def _parsers(parser):
+    """``bcs``'s parser and each command's, by name."""
+    (commands,) = [a.choices for a in parser._actions if isinstance(a.choices, dict)]
+    return {"bcs": parser, **commands}
+
+
+_REFERENCE = _parsers(reference_parser())
+
+
+def test_the_built_parser_formats_the_hand_written_help_and_usage(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to the terminal's width
+    built = _parsers(build_parser())
+    assert list(built) == list(_REFERENCE)
+    for name, reference in _REFERENCE.items():
+        assert built[name].format_help() == reference.format_help(), name
+        assert built[name].format_usage() == reference.format_usage(), name
+
+
+# Values for any option: ``int`` reads the first four (the fourth is an
+# Arabic-Indic five), and argparse reads ``-1`` as a value, not an option.
+_VALUES = ["5", "+5", "1_0", "\u0665", "-1", "", "x"]
+_JUNK = ["-h", "--help", "--tb=5", "--t", "--f", "--", "-", "extra", "--x-max", "--reduced"]
+
+
+@st.composite
+def _command_lines(draw):
+    """``(argv, well_formed)``: a command with each of its required options
+    and a draw of its options, repeats allowed, each with a good value.
+    Unless well formed, one or two tokens are then put in, replaced or
+    dropped anywhere: the line may still be good, or fail in one place."""
+    command = draw(st.sampled_from([name for name in _REFERENCE if name != "bcs"]))
+    actions = [a for a in _REFERENCE[command]._actions if "-h" not in a.option_strings]
+    drawn = draw(st.lists(st.sampled_from(actions), max_size=6))
+    argv = [command]
+    for action in draw(st.permutations(drawn + [a for a in actions if a.required])):
+        argv.append(action.option_strings[0])
+        if action.nargs != 0:
+            good = action.choices or (_VALUES[:4] if action.type is int else ["x", ""])
+            argv.append(draw(st.sampled_from(list(good))))
+    well_formed = draw(st.booleans())
+    if not well_formed:
+        tokens = _VALUES + _JUNK + [a.option_strings[0] for a in actions]
+        for _ in range(draw(st.integers(1, 2))):
+            at = draw(st.integers(0, len(argv)))
+            edit = draw(st.sampled_from(["put in", "replace", "drop"]))
+            if edit == "put in":
+                argv.insert(at, draw(st.sampled_from(tokens)))
+            elif at < len(argv):
+                argv[at:at + 1] = [draw(st.sampled_from(tokens))] if edit == "replace" else []
+    return argv, well_formed
+
+
+@settings(max_examples=800, deadline=None)
+@given(_command_lines())
+def test_the_direct_parse_reads_what_argparse_reads_or_declines(case):
+    argv, well_formed = case
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            reference = vars(_REFERENCE["bcs"].parse_args(argv))
+    except SystemExit:
+        reference = None
+    direct = _parse(argv)
+    assert direct is not None or not well_formed
+    assert direct is None or vars(direct) == reference
+
+
+_WELL_FORMED = [
+    "limits --tb 8", "limits --tb 8 --format json",
+    "conjecture --tb 9", "conjecture --tb 9 --format json",
+    "solve --tb 4 --x-max 6", "solve --tb 4 --x-max 6 --format csv",
+    "solve --tb 4 --x-max 6 --format json", "solve --tb 4 --x-max 6 --format json --out {out}",
+    "check --tb 4 --with-oracle", "check --tb 4 --with-oracle --format json",
+    "check --from-json {table}", "check --ruleset {ruleset}", "check --ruleset {ruleset} --format json",
+    "automaton --tb 8", "automaton --tb 8 --format json",
+    "bids --tb 4 --kind tie --bid 1", "bids --tb 4 --kind holder-win --bid 1 --reduced --format json",
+    "play --tb 5 --x 0 --p 1 --marker L --engine-side R",
+]
+
+
+@pytest.mark.parametrize("command", _WELL_FORMED)
+def test_a_well_formed_command_line_never_imports_argparse(tmp_path, command):
+    ruleset, table, out = tmp_path / "zugzwang.game", tmp_path / "t4.json", tmp_path / "out"
+    ruleset.write_text(ZUGZWANG_RULESET, encoding="utf-8")
+    with redirect_stdout(io.StringIO()):
+        assert main(["solve", "--tb", "4", "--x-max", "6", "--format", "json", "--out", str(table)]) == 0
+    argv = command.format(ruleset=ruleset, table=table, out=out).split()
+    code = (
+        "import contextlib, io, sys\n"
+        "import bcs.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = bcs.cli.main({argv!r})\n"
+        "print(code, 'argparse' in sys.modules)\n"
+    )
+    assert _python(code) == [f"{1 if '--ruleset' in argv else 0} False"]
+
+
+# ``main`` as it was: every command line read by the hand-written parser.
+_MAIN_BEFORE = """
+import sys
+sys.path.insert(0, {tests!r})
+import bcs.cli, goldens
+bcs.cli._parse = lambda argv: None
+bcs.cli.build_parser = goldens.build_parser
+sys.exit(bcs.cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["limits", "--t", "5"], ["limits", "--tb=5"], ["limits", "--tb", "5", "--out", "-"], [], ["limits"]],
+    ids=lambda argv: " ".join(["bcs", *argv]),
+)
+def test_a_declined_command_line_reads_as_before(argv):
+    assert _parse(argv) is None
+    env = {**os.environ, "COLUMNS": "80"}
+    before = [sys.executable, "-c", _MAIN_BEFORE.format(tests=str(Path(__file__).parent))]
+    now, then = (
+        subprocess.run([*head, *argv], capture_output=True, text=True, env=env, timeout=60)
+        for head in ([sys.executable, "-m", "bcs"], before)
+    )
+    assert (now.returncode, now.stdout, now.stderr) == (then.returncode, then.stdout, then.stderr)
+    assert then.returncode == (2 if argv in ([], ["limits"]) else 0)
 
 
 def test_play_scripted(capsys, monkeypatch):
